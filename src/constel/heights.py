@@ -10,11 +10,15 @@ exact factorizations.
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import gcd
+from functools import cached_property, partial
+from itertools import islice
+from math import gcd, isqrt
 
+from ._pool import fork_starmap, pool_size
 from .arith import ProjectivePointQ, factorize, radical
 from .errors import MathDomainError, PointOnBoundaryError, UnsupportedFieldError
 
@@ -190,21 +194,86 @@ def vojta_gap(point: ProjectivePointQ, eps_prime: float) -> float:
     return (1 - eps_prime) * naive_height(point).h - report.N_trunc
 
 
-def _rad_table(limit: int) -> list[int]:
-    """Radicals of 0..limit via a smallest-prime-factor sieve (pure python;
-    the numpy variant lives in the scan worker)."""
-    spf = list(range(limit + 1))
-    for p in range(2, math.isqrt(limit) + 1):
+def _rad_table(limit: int) -> array:
+    """Radicals of 0..limit via a smallest-prime-factor sieve, in a 64-bit
+    array (8 bytes an entry; every value fits, and products taken from it
+    are Python ints)."""
+    spf = array("q", range(limit + 1))
+    for p in range(2, isqrt(limit) + 1):
         if spf[p] == p:
             for q in range(p * p, limit + 1, p):
                 if spf[q] == q:
                     spf[q] = p
-    rad = [1] * (limit + 1)
+    rad = array("q", [1]) * (limit + 1)
     for n in range(2, limit + 1):
         p = spf[n]
         m = n // p
         rad[n] = rad[m] if m % p == 0 else rad[m] * p
     return rad
+
+
+class _RadicalIndex:
+    """The radicals of 0..limit, and the n in 1..limit ordered by (rad n, n).
+
+    The order holds every n whose radical is at most `cap`: isqrt(limit)
+    up front, which covers every abc scan at quality >= 1; a request past
+    the cap extends it, at least doubling, with one pass over the table."""
+
+    def __init__(self, limit: int):
+        self.rad = _rad_table(limit)
+        self.cap = 0
+        self.order: list[int] = []
+        self.keys: list[int] = []  # the radical of each entry of order
+        self.count_upto(isqrt(limit))
+
+    def count_upto(self, s: int) -> int:
+        """Length of the prefix of `order` whose radicals are at most s."""
+        if s > self.cap:
+            rad, lo = self.rad, self.cap
+            hi = min(max(s, 2 * lo), len(rad) - 1)
+            new = sorted((n for n in range(1, len(rad)) if lo < rad[n] <= hi), key=rad.__getitem__)
+            self.order += new
+            self.keys += map(rad.__getitem__, new)
+            self.cap = hi
+        return bisect_right(self.keys, s)
+
+
+# log cutoffs from here up scan every a: exp would overflow, and the cutoff
+# passes c^3 > rad(abc) for every c a table can hold
+_LOG_FULL_SCAN = 700.0
+
+
+def _pruned_triples(index: _RadicalIndex, lo: int, hi: int, log_bound):
+    """The coprime triples a + b = c, a <= b, lo <= c <= hi, that can have
+    rad(abc) <= B(c) = exp(log_bound(c)) * (1 + 1e-9) + 2.
+
+    Yields (c, increasing a's) for each c with candidates.  A coprime pair
+    has rad(abc) = rad(a) rad(b) rad(c), so it qualifies exactly when
+    rad(a) rad(b) <= T = floor(B / rad c), and then min(rad a, rad b) <=
+    sqrt(T) (Browkin & Brzezinski, Math. Comp. 62, 1994): only the x < c
+    with rad(x) <= sqrt(T) are visited, as a = min(x, c - x).  The floats
+    only size B; the test on rad(a) rad(b) is exact.  log_bound(c) is
+    called as c is reached, after the previous c's triples were consumed;
+    +inf asks for every coprime a."""
+    rad = index.rad
+    for c in range(lo, hi + 1):
+        rc = rad[c]
+        log_b = log_bound(c)
+        if log_b < _LOG_FULL_SCAN:
+            t = int(math.exp(log_b) * (1 + 1e-9) + 2) // rc
+            if not t:
+                continue
+            s = min(isqrt(t), c - 1)
+        else:
+            t, s = math.inf, c - 1
+        k = index.count_upto(s)
+        xs = {
+            x if 2 * x <= c else c - x
+            for x in islice(index.order, k)
+            if x < c and rad[x] * rad[c - x] <= t
+        }
+        if xs:
+            yield c, [a for a in sorted(xs) if gcd(a, c) == 1]
 
 
 @dataclass(frozen=True)
@@ -218,19 +287,29 @@ class GapEvent:
 def scan_vojta_gap(eps_prime: float, max_c: int) -> list[GapEvent]:
     """Running-maximum trace of the gap over 0 < a < b, c = a + b <= max_c,
     scanned in (c, a) order.  The last event carries the empirical O(1)
-    constant for the window."""
+    constant for the window.
+
+    An a can raise the running best only when rad(abc) is below
+    exp((1 - eps') log c - best), so each c visits just the radical-pruned
+    candidates for that bound (see _pruned_triples).  The event test is
+    still the float comparison g > best, so the trace equals that of the
+    full quadratic scan."""
     if not 0 < eps_prime < 1:
         raise ValueError("eps_prime must lie in (0, 1)")
     if max_c < 2:
         raise ValueError("max_c must be at least 2")
-    rad = _rad_table(max_c)
+    index = _RadicalIndex(max_c)
+    rad = index.rad
     events: list[GapEvent] = []
     best = -math.inf
-    for c in range(2, max_c + 1):
+
+    def log_bound(c: int) -> float:
+        return (1 - eps_prime) * math.log(c) - best
+
+    # c = 2 has only a = b = 1
+    for c, candidates in _pruned_triples(index, 3, max_c, log_bound):
         hc = (1 - eps_prime) * math.log(c)
-        for a in range(1, (c - 1) // 2 + 1):
-            if gcd(a, c) != 1:
-                continue
+        for a in candidates:
             g = hc - math.log(rad[a] * rad[c - a] * rad[c])
             if g > best:
                 best = g
@@ -252,42 +331,16 @@ def _quality_at_least(c: int, radprod: int, threshold: Fraction) -> bool:
     return c**threshold.denominator >= radprod**threshold.numerator
 
 
-def _numpy_rad_sieve(limit: int):
-    import numpy as np
-
-    rad = np.ones(limit + 1, dtype=np.int64)
-    composite = np.zeros(limit + 1, dtype=bool)
-    for p in range(2, limit + 1):
-        if not composite[p]:
-            rad[p::p] *= p
-            if p * p <= limit:
-                composite[p * p :: p] = True
-    return rad
-
-
-def _scan_abc_chunk(lo: int, hi: int, min_quality: Fraction) -> list[AbcHit]:
-    import numpy as np
-
-    rad = _numpy_rad_sieve(hi)
+def _scan_abc_chunk(index: _RadicalIndex, lo: int, hi: int, min_quality: Fraction) -> list[AbcHit]:
+    """The hits of scan_abc with lo <= c <= hi, unsorted; index covers hi."""
+    rad = index.rad
     exponent = 1.0 / float(min_quality)
     hits: list[AbcHit] = []
-    for c in range(max(lo, 2), hi + 1):
-        half = c // 2
-        if half < 1:
-            continue
-        # the float cutoff generously over-covers the exact rule; survivors
-        # are adjudicated with integer powers below
-        logcut = exponent * math.log(c)
-        cutoff = 1e16 if logcut >= 36.8 else math.exp(logcut) * (1 + 1e-9) + 2
-        radprod = rad[1 : half + 1] * rad[c - 1 : c - half - 1 : -1] * int(rad[c])
-        for idx in np.nonzero(radprod <= cutoff)[0]:
-            a = int(idx) + 1
-            b = c - a
-            if gcd(a, c) != 1:
-                continue
-            rp = int(radprod[idx])
+    for c, candidates in _pruned_triples(index, max(lo, 2), hi, lambda c: exponent * math.log(c)):
+        for a in candidates:
+            rp = rad[a] * rad[c - a] * rad[c]
             if _quality_at_least(c, rp, min_quality):
-                hits.append(AbcHit(a, b, c, rp, math.log(c) / math.log(rp)))
+                hits.append(AbcHit(a, c - a, c, rp, math.log(c) / math.log(rp)))
     return hits
 
 
@@ -295,31 +348,27 @@ def scan_abc(max_c: int, min_quality: Fraction, workers: int = 1) -> list[AbcHit
     """All coprime triples a + b = c <= max_c, a <= b, whose quality reaches
     min_quality, sorted by quality descending (ties by c then a).
 
-    The threshold test is exact -- c^q >= rad^p for min_quality = p/q -- so
-    the result is independent of floating-point behavior; the float quality
-    in each hit is for display.  Worker counts never change the output."""
+    Each c visits only the a whose triple can have rad(abc) <= c^(1/q),
+    found through the radical index (see _pruned_triples); floats only size
+    that search.  The threshold test is exact -- c^q >= rad^p for
+    min_quality = p/q -- so the result is independent of floating-point
+    behavior; the float quality in each hit is for display.  With workers,
+    the c-range is cut into equal lengths, one per process (at most one per
+    usable CPU), and worker counts never change the output."""
     if max_c < 2:
         raise ValueError("max_c must be at least 2")
     min_quality = Fraction(min_quality)
     if min_quality <= 0:
         raise ValueError("min_quality must be positive")
-    if workers > 1 and max_c > 16:
-        import multiprocessing
-
-        w = min(workers, max(1, max_c // 8))
-        # balance by quadratic work: chunk k covers c in (max_c*sqrt(k/w), ..]
-        edges = [int(max_c * math.sqrt(i / w)) for i in range(1, w)]
-        spans = []
-        lo = 2
-        for e in edges + [max_c]:
-            hi = min(max(lo, e), max_c)
-            if lo <= hi:
-                spans.append((lo, hi, min_quality))
-                lo = hi + 1
-        with multiprocessing.get_context("fork").Pool(len(spans)) as pool:
-            parts = pool.starmap(_scan_abc_chunk, spans)
+    index = _RadicalIndex(max_c)
+    w = pool_size(workers, max_c // 8)
+    if w > 1:
+        # the workers inherit the index through the fork
+        edges = [2 + (max_c - 1) * i // w for i in range(w + 1)]
+        spans = [(edges[i], edges[i + 1] - 1, min_quality) for i in range(w)]
+        parts = fork_starmap(partial(_scan_abc_chunk, index), spans)
         hits = [h for part in parts for h in part]
     else:
-        hits = _scan_abc_chunk(2, max_c, min_quality)
+        hits = _scan_abc_chunk(index, 2, max_c, min_quality)
     hits.sort(key=lambda h: (-h.quality, h.c, h.a))
     return hits

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from ._pool import fork_starmap, pool_size
 from .arith import (
     INFINITY,
     check_multiplicity,
@@ -229,13 +230,9 @@ def enumerate_soft_points(
     if bound < 2:
         raise ValueError("height bound must be at least 2")
     c_values = _candidate_values(delta.n_inf, bound)
-    if workers > 1 and len(c_values) > 1:
-        import multiprocessing
-
-        w = min(workers, len(c_values))
-        chunks = [c_values[i::w] for i in range(w)]
-        with multiprocessing.get_context("fork").Pool(w) as pool:
-            parts = pool.starmap(_enumerate_chunk, [(delta, bound, ch) for ch in chunks])
+    w = pool_size(workers, len(c_values))
+    if w > 1:
+        parts = fork_starmap(_enumerate_chunk, [(delta, bound, c_values[i::w]) for i in range(w)])
         points = [p for part in parts for p in part]
     else:
         points = _enumerate_chunk(delta, bound, c_values)

@@ -3,7 +3,8 @@
 Everything here is coded straight from the definitions and deliberately
 avoids the library's algorithms: breadth-first reachability instead of the
 DP table, sieve factor tables instead of constructive powerful-number
-generation, sympy radicals instead of the scan sieves.
+generation, sympy radicals instead of the scan sieves, full quadratic
+scans instead of the radical-pruned one.
 """
 
 import math
@@ -133,3 +134,23 @@ def brute_abc_set(max_c, num, den):
             if c**den >= rr**num:
                 found.add((a, b, c, rr))
     return found
+
+
+def brute_vojta_trace(eps_prime, max_c):
+    """Running-maximum trace (a, b, c, gap) of (1 - eps') log c - log
+    rad(abc) over every coprime 0 < a < b, c = a + b <= max_c, visited in
+    (c, a) order, with radicals from the factor tables."""
+    spf = spf_table(max_c)
+    rad = [0, 1] + [math.prod(factor_by_sieve(n, spf)) for n in range(2, max_c + 1)]
+    trace = []
+    best = -math.inf
+    for c in range(3, max_c + 1):
+        hc = (1 - eps_prime) * math.log(c)
+        for a in range(1, (c + 1) // 2):
+            if gcd(a, c) != 1:
+                continue
+            g = hc - math.log(rad[a] * rad[c - a] * rad[c])
+            if g > best:
+                best = g
+                trace.append((a, c - a, c, g))
+    return trace

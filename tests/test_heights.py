@@ -198,13 +198,11 @@ class TestVojtaGap:
 
 
 def test_rad_sieves_match_factorize():
-    from constel.heights import _numpy_rad_sieve, _rad_table
+    from constel.heights import _rad_table
 
     table = _rad_table(1500)
-    sieve = _numpy_rad_sieve(1500)
     for n in range(1, 1501):
         assert table[n] == radical(n)
-        assert int(sieve[n]) == table[n]
 
 
 class TestAbcScan:
@@ -237,3 +235,37 @@ class TestAbcScan:
         hits = scan_abc(300, Fraction(1))
         qualities = [h.quality for h in hits]
         assert qualities == sorted(qualities, reverse=True)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "quality", [Fraction(1), Fraction(6, 5), Fraction(12262, 10000), Fraction(3, 2)]
+    )
+    def test_matches_brute_oracle_at_2000(self, quality, workers):
+        got = {(h.a, h.b, h.c, h.rad) for h in scan_abc(2000, quality, workers=workers)}
+        assert got == _oracles.brute_abc_set(2000, quality.numerator, quality.denominator)
+
+    def test_radical_products_do_not_overflow(self):
+        # radical products here pass 2^63; as int64 they wrapped negative
+        # and reached math.log
+        from constel.heights import _RadicalIndex, _scan_abc_chunk
+
+        hits = _scan_abc_chunk(_RadicalIndex(4_000_000), 3_999_990, 4_000_000, Fraction(1))
+        assert hits
+        for h in hits:
+            assert 3_999_990 <= h.c <= 4_000_000
+            assert AbcTriple(h.a, h.b, h.c).radical_product == h.rad
+            assert h.c >= h.rad
+
+
+class TestVojtaScan:
+    @pytest.mark.parametrize("eps_prime", [0.05, 0.2, 0.5])
+    def test_matches_brute_trace(self, eps_prime):
+        events = scan_vojta_gap(eps_prime, 1500)
+        got = [(e.a, e.b, e.c, e.gap) for e in events]
+        assert got == _oracles.brute_vojta_trace(eps_prime, 1500)
+
+    def test_window_of_1e5(self):
+        last = scan_vojta_gap(0.2, 10**5)[-1]
+        # 7^3 + 3^10 = 2^11 * 29
+        assert (last.a, last.b, last.c) == (343, 59049, 59392)
+        assert last.gap == pytest.approx(0.8 * math.log(59392) - math.log(7 * 3 * 2 * 29), abs=1e-12)
