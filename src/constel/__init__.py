@@ -34,6 +34,7 @@ from .errors import (
     ParseError,
     PointOnBoundaryError,
     RayUnsupportedError,
+    ResourceLimitError,
     UnsupportedFieldError,
 )
 from .firmaments import (

@@ -116,9 +116,10 @@ class Factorization:
         return min((e for _, e in self.factors), default=INFINITY)
 
 
-def factorize(n: int, rho_threshold: int = DEFAULT_RHO_THRESHOLD) -> Factorization:
+def factorize(n: int) -> Factorization:
     """Factor a positive integer by trial division, handing cofactors larger
-    than rho_threshold to Brent-rho.  factorize(1) has an empty factor list.
+    than DEFAULT_RHO_THRESHOLD to Brent-rho.  factorize(1) has an empty
+    factor list.
 
     >>> factorize(72).factors
     ((2, 3), (3, 2))
@@ -132,11 +133,11 @@ def factorize(n: int, rho_threshold: int = DEFAULT_RHO_THRESHOLD) -> Factorizati
             acc[p] = acc.get(p, 0) + 1
             m //= p
     if m > 1:
-        _factor_tail(m, acc, rho_threshold)
+        _factor_tail(m, acc)
     return Factorization(n, tuple(sorted(acc.items())))
 
 
-def _factor_tail(m: int, acc: dict[int, int], rho_threshold: int) -> None:
+def _factor_tail(m: int, acc: dict[int, int]) -> None:
     # m has no prime factor <= 37 here
     stack = [m]
     while stack:
@@ -146,7 +147,7 @@ def _factor_tail(m: int, acc: dict[int, int], rho_threshold: int) -> None:
         if is_prime(m):
             acc[m] = acc.get(m, 0) + 1
             continue
-        if m > rho_threshold:
+        if m > DEFAULT_RHO_THRESHOLD:
             d = _brent_rho(m)
             stack.append(d)
             stack.append(m // d)
@@ -192,6 +193,12 @@ def check_multiplicity(m, minimum: int = 1):
     raise ValueError(f"multiplicity must be an integer >= {minimum} or infinite, got {m!r}")
 
 
+def parse_multiplicity(text: str):
+    """Read a multiplicity written as `inf` or as an integer >= 1."""
+    t = text.strip()
+    return INFINITY if t == "inf" else check_multiplicity(int(t))
+
+
 def is_n_powerful(n: int, m) -> bool:
     """True iff every prime exponent of |n| is >= m.  Units pass vacuously,
     m = 1 accepts everything, and m = INFINITY accepts only |n| = 1."""
@@ -206,6 +213,20 @@ def is_n_powerful(n: int, m) -> bool:
     return all(e >= m for _, e in factorize(n).factors)
 
 
+def _primitive(cs: tuple[int, ...]) -> tuple[int, ...]:
+    """The primitive representative of the projective class of cs: divided
+    by the gcd of its entries, first nonzero entry positive."""
+    g = gcd(*cs)
+    if g == 0:
+        raise ValueError(f"{cs} defines no projective point")
+    for x in cs:
+        if x:
+            if x < 0:
+                g = -g
+            break
+    return cs if g == 1 else tuple([x // g for x in cs])
+
+
 @dataclass(frozen=True)
 class ProjectivePointQ:
     """Primitive integer coordinates of a rational projective point: gcd 1,
@@ -216,16 +237,8 @@ class ProjectivePointQ:
     def __post_init__(self):
         cs = tuple(int(x) for x in self.coords)
         object.__setattr__(self, "coords", cs)
-        if not cs or all(x == 0 for x in cs):
-            raise ValueError("projective point needs a nonzero coordinate")
-        g = 0
-        for x in cs:
-            g = gcd(g, x)
-        if g != 1:
-            raise ValueError(f"coordinates {cs} are not primitive")
-        lead = next(x for x in cs if x != 0)
-        if lead < 0:
-            raise ValueError(f"coordinates {cs} are not sign-normalized")
+        if _primitive(cs) != cs:
+            raise ValueError(f"coordinates {cs} are not primitive and sign-normalized")
 
     def __str__(self):
         return "(" + ":".join(str(x) for x in self.coords) + ")"
@@ -237,16 +250,7 @@ def canonicalize(coords) -> ProjectivePointQ:
     >>> canonicalize((3, 9, 12)).coords
     (1, 3, 4)
     """
-    cs = tuple(int(x) for x in coords)
-    if not cs or all(x == 0 for x in cs):
-        raise ValueError("all-zero tuple defines no projective point")
-    g = 0
-    for x in cs:
-        g = gcd(g, x)
-    cs = tuple(x // g for x in cs)
-    if next(x for x in cs if x != 0) < 0:
-        cs = tuple(-x for x in cs)
-    return ProjectivePointQ(cs)
+    return ProjectivePointQ(_primitive(tuple(int(x) for x in coords)))
 
 
 def powerful_numbers(m, limit: int) -> list[int]:

@@ -5,8 +5,9 @@ minimal-profiles.  Output is TSV (with a single `#` header line) or JSONL;
 rationals print as p/q, floats with nine decimals, and repeated runs --
 including runs with different worker counts -- produce identical bytes.
 
-Exit codes: 0 success, 2 parse/config error, 3 violated mathematical
-precondition.
+Exit codes: 0 success, 1 internal error, 2 parse/config error or
+unreadable file, 3 violated mathematical precondition, 4 run refused by a
+resource cap.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import curves, firmaments, heights, softpoints
-from .arith import INFINITY, radical
-from .errors import BoundExceededError, MathDomainError, ParseError, RayUnsupportedError
+from .arith import parse_multiplicity, radical
+from .errors import MathDomainError, ParseError, RayUnsupportedError, ResourceLimitError
 
 
 def _fmt(value) -> str:
@@ -51,25 +52,21 @@ def _emit(rows, columns, fmt) -> list[str]:
     return lines
 
 
-def _parse_multiplicity(tok: str):
-    t = tok.strip()
-    if t == "inf":
-        return INFINITY
-    try:
-        m = int(t)
-    except ValueError:
-        raise ParseError(f"bad multiplicity {t!r}") from None
-    if m < 1:
-        raise ParseError(f"bad multiplicity {t!r}")
-    return m
-
-
 def _parse_delta(text: str) -> softpoints.DeltaSupport3:
     parts = text.split(",")
     if len(parts) != 3:
         raise ParseError(f"delta {text!r}: expected three comma-separated multiplicities")
-    n0, n1, n_inf = (_parse_multiplicity(p) for p in parts)
-    return softpoints.DeltaSupport3(n0, n1, n_inf)
+    try:
+        return softpoints.DeltaSupport3(*map(parse_multiplicity, parts))
+    except ValueError:
+        raise ParseError(f"delta {text!r}: multiplicities are integers >= 1 or inf") from None
+
+
+def _read_text(path: str, what: str) -> str:
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {what}: {exc}") from None
 
 
 def _parse_ray(tok: str) -> tuple[int, ...]:
@@ -85,9 +82,7 @@ def _parse_ray(tok: str) -> tuple[int, ...]:
 def _cmd_classify(args) -> tuple[list[str], int]:
     texts = list(args.profiles)
     if args.file:
-        texts.extend(
-            ln for ln in Path(args.file).read_text().splitlines() if ln.strip()
-        )
+        texts.extend(ln for ln in _read_text(args.file, "profile file").splitlines() if ln.strip())
     if not texts:
         raise ParseError("no profiles given (pass them as arguments or via --file)")
     rows = []
@@ -120,11 +115,7 @@ def _cmd_enumerate(args) -> tuple[list[str], int]:
 
 
 def _cmd_firmament(args) -> tuple[list[str], int]:
-    try:
-        text = Path(args.file).read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read firmament file: {exc}") from None
-    firm = firmaments.from_text(text)
+    firm = firmaments.from_text(_read_text(args.file, "firmament file"))
     rays = [_parse_ray(tok) for tok in args.rays.split(";") if tok.strip()]
     if not rays:
         raise ParseError("no rays given")
@@ -219,11 +210,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
 def _load_config(path: str) -> dict[str, str]:
     cfg = {}
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read config file: {exc}") from None
-    for no, ln in enumerate(text.splitlines(), start=1):
+    for no, ln in enumerate(_read_text(path, "config file").splitlines(), start=1):
         s = ln.strip()
         if not s or s.startswith("#"):
             continue
@@ -284,10 +271,16 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (MathDomainError, ValueError) as exc:
+    except MathDomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except BoundExceededError as exc:  # pragma: no cover
+    except ResourceLimitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except Exception as exc:  # a fault of the program, not of its input
+        import traceback  # only a failing run pays for the import
+
+        traceback.print_exc()
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
 

@@ -13,8 +13,8 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import INFINITY, check_multiplicity
-from .errors import ParseError
+from .arith import INFINITY, check_multiplicity, parse_multiplicity
+from .errors import MathDomainError, ParseError
 
 
 def delta_coefficient(m) -> Fraction:
@@ -171,9 +171,9 @@ def minimal_general_type_profiles(max_marks: int, max_mult: int) -> list[tuple[i
     tiny even for large bounds.
     """
     if max_marks < 1:
-        raise ValueError("max_marks must be at least 1")
+        raise MathDomainError("max_marks must be at least 1")
     if max_mult < 2:
-        raise ValueError("max_mult must be at least 2")
+        raise MathDomainError("max_mult must be at least 2")
     found = []
 
     def extend(prefix: tuple[int, ...], total: Fraction, lowest: int) -> None:
@@ -213,16 +213,12 @@ def parse_profile(text: str) -> MultiplicityProfile:
     if body:
         pos = len(head) + 3
         for tok in body.split(","):
-            t = tok.strip()
-            if t == "inf":
-                mults.append(INFINITY)
-            else:
-                try:
-                    mults.append(int(t))
-                except ValueError:
-                    raise ParseError(
-                        f"profile {text!r}: bad multiplicity {t!r} at position {pos}"
-                    ) from None
+            try:
+                mults.append(parse_multiplicity(tok))
+            except ValueError:
+                raise ParseError(
+                    f"profile {text!r}: bad multiplicity {tok.strip()!r} at position {pos}"
+                ) from None
             pos += len(tok) + 1
     try:
         return MultiplicityProfile.of(genus, mults)

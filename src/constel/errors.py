@@ -32,3 +32,8 @@ class UnsupportedFieldError(MathDomainError):
 class BoundExceededError(ConstelError, RuntimeError):
     """A search hit its safety cap.  This signals a bug, not a math condition:
     the exact cone pre-checks are supposed to make the cap unreachable."""
+
+
+class ResourceLimitError(ConstelError):
+    """The run would need more memory than a documented cap allows, and is
+    refused before it starts."""

@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import _linalg
 from .arith import is_prime
 from .errors import MathDomainError, ParseError
-from .monoids import DEFAULT_MULTIPLE_CAP, LatticeMonoid, min_multiple
+from .monoids import LatticeMonoid, min_multiple
 
 
 @dataclass(frozen=True)
@@ -114,9 +114,9 @@ def base_firmament(maps) -> Firmament:
     return Firmament(dim, tuple(LatticeMonoid(dim, tuple(m.columns())) for m in maps))
 
 
-def multiplicity_at(firm: Firmament, ray, cap: int = DEFAULT_MULTIPLE_CAP) -> int:
+def multiplicity_at(firm: Firmament, ray) -> int:
     """Minimal positive k with k*ray inside one of the firmament's monoids."""
-    return min_multiple(firm.monoids, ray, cap)
+    return min_multiple(firm.monoids, ray)
 
 
 def supported_constellation(firm: Firmament, rays) -> list[tuple[tuple[int, ...], Fraction]]:

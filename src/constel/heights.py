@@ -20,7 +20,11 @@ from math import gcd, isqrt
 
 from ._pool import fork_starmap, pool_size
 from .arith import ProjectivePointQ, factorize, radical
-from .errors import MathDomainError, PointOnBoundaryError, UnsupportedFieldError
+from .errors import MathDomainError, PointOnBoundaryError, ResourceLimitError, UnsupportedFieldError
+
+# largest scan window: the radical sieve holds about 16 bytes per n at its
+# peak (the 64-bit table plus the transient factor sieve), so 1.6 GB here
+MAX_SIEVE_LIMIT = 10**8
 
 
 @dataclass(frozen=True)
@@ -197,7 +201,13 @@ def vojta_gap(point: ProjectivePointQ, eps_prime: float) -> float:
 def _rad_table(limit: int) -> array:
     """Radicals of 0..limit via a smallest-prime-factor sieve, in a 64-bit
     array (8 bytes an entry; every value fits, and products taken from it
-    are Python ints)."""
+    are Python ints).  Limits above MAX_SIEVE_LIMIT are refused before
+    anything is allocated."""
+    if limit > MAX_SIEVE_LIMIT:
+        raise ResourceLimitError(
+            f"a scan up to {limit} needs about {16 * limit // 10**6} MB of radical tables; "
+            f"the cap is {MAX_SIEVE_LIMIT}"
+        )
     spf = array("q", range(limit + 1))
     for p in range(2, isqrt(limit) + 1):
         if spf[p] == p:
@@ -295,9 +305,9 @@ def scan_vojta_gap(eps_prime: float, max_c: int) -> list[GapEvent]:
     still the float comparison g > best, so the trace equals that of the
     full quadratic scan."""
     if not 0 < eps_prime < 1:
-        raise ValueError("eps_prime must lie in (0, 1)")
+        raise MathDomainError("eps_prime must lie in (0, 1)")
     if max_c < 2:
-        raise ValueError("max_c must be at least 2")
+        raise MathDomainError("max_c must be at least 2")
     index = _RadicalIndex(max_c)
     rad = index.rad
     events: list[GapEvent] = []
@@ -356,10 +366,10 @@ def scan_abc(max_c: int, min_quality: Fraction, workers: int = 1) -> list[AbcHit
     the c-range is cut into equal lengths, one per process (at most one per
     usable CPU), and worker counts never change the output."""
     if max_c < 2:
-        raise ValueError("max_c must be at least 2")
+        raise MathDomainError("max_c must be at least 2")
     min_quality = Fraction(min_quality)
     if min_quality <= 0:
-        raise ValueError("min_quality must be positive")
+        raise MathDomainError("min_quality must be positive")
     index = _RadicalIndex(max_c)
     w = pool_size(workers, max_c // 8)
     if w > 1:

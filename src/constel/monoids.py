@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from . import _linalg
-from .errors import BoundExceededError, InfiniteGapsError, RayUnsupportedError
+from .errors import BoundExceededError, InfiniteGapsError, MathDomainError, RayUnsupportedError
 
 DEFAULT_MULTIPLE_CAP = 10**6
 
@@ -75,19 +75,19 @@ class LatticeMonoid:
 
     def __post_init__(self):
         if not isinstance(self.dimension, int) or self.dimension < 1:
-            raise ValueError(f"dimension must be a positive integer, got {self.dimension!r}")
+            raise MathDomainError(f"dimension must be a positive integer, got {self.dimension!r}")
         gens = []
         for g in self.generators:
             t = tuple(int(x) for x in g)
             if len(t) != self.dimension:
-                raise ValueError(f"generator {t} has wrong dimension (want {self.dimension})")
+                raise MathDomainError(f"generator {t} has wrong dimension (want {self.dimension})")
             if any(x < 0 for x in t):
-                raise ValueError(f"generator {t} has a negative coordinate")
+                raise MathDomainError(f"generator {t} has a negative coordinate")
             if all(x == 0 for x in t):
-                raise ValueError("the zero vector is not allowed as a generator")
+                raise MathDomainError("the zero vector is not allowed as a generator")
             gens.append(t)
         if not gens:
-            raise ValueError("generator list must be nonempty")
+            raise MathDomainError("generator list must be nonempty")
         gens = sorted(set(gens))
         for g in sorted(gens, reverse=True):
             rest = [h for h in gens if h != g]
@@ -178,7 +178,7 @@ def min_multiple(monoids, n, cap: int = DEFAULT_MULTIPLE_CAP) -> int:
         raise ValueError("need at least one monoid")
     n = tuple(int(x) for x in n)
     if all(x == 0 for x in n):
-        raise ValueError("ray must be nonzero")
+        raise MathDomainError("ray must be nonzero")
     supported = []
     bound = None
     for m in monoids:

@@ -19,6 +19,7 @@ from math import gcd
 from ._pool import fork_starmap, pool_size
 from .arith import (
     INFINITY,
+    _primitive,
     check_multiplicity,
     factorize,
     is_n_powerful,
@@ -40,14 +41,7 @@ class P1PointQ:
     c: int
 
     def __post_init__(self):
-        a, c = int(self.a), int(self.c)
-        if a == 0 and c == 0:
-            raise ValueError("(0, 0) defines no projective point")
-        g = gcd(abs(a), abs(c))
-        a //= g
-        c //= g
-        if c < 0 or (c == 0 and a < 0):
-            a, c = -a, -c
+        c, a = _primitive((int(self.c), int(self.a)))
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "c", c)
 
@@ -80,10 +74,6 @@ class DeltaSupport3:
     def __post_init__(self):
         for m in (self.n0, self.n1, self.n_inf):
             check_multiplicity(m)
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.n0 == 1 and self.n1 == 1 and self.n_inf == 1
 
     def as_tuple(self):
         return (self.n0, self.n1, self.n_inf)
@@ -162,42 +152,16 @@ def is_soft_integral_general(point: P1PointQ, delta: GeneralDeltaQ) -> bool:
     return True
 
 
-def is_soft_integral_weighted(point: P1PointQ, delta: GeneralDeltaQ) -> bool:
-    """Weighted variant: at every prime p outside S the sum of v_p / m_z
-    over the support must reach 1 whenever some term is positive.  With the
-    disjointness the type guarantees, at most one term is nonzero per prime,
-    so this is implied by the plain soft test."""
-    by_prime: dict[int, Fraction] = {}
-    for z, m in delta.support:
-        val = _intersection_value(point, z)
-        if val == 0:
-            raise PointOnBoundaryError(f"{point} equals the support point {z}")
-        for p, e in factorize(abs(val)).factors:
-            if p in delta.primes:
-                continue
-            if m == INFINITY:
-                return False
-            by_prime[p] = by_prime.get(p, Fraction(0)) + Fraction(e, m)
-    return all(total >= 1 for total in by_prime.values())
-
-
-def _candidate_values(m, limit: int) -> list[int]:
-    if m == INFINITY:
-        return [1]
-    if m == 1:
-        return list(range(1, limit + 1))
-    return powerful_numbers(m, limit)
-
-
-def _powerful_test_set(m, limit: int):
-    if m == 1:
-        return None  # everything passes
-    return set(powerful_numbers(m, limit))
+# The weighted test asks sum over z of v_p / m_z >= 1 at each prime p
+# outside S where some term is positive.  GeneralDeltaQ puts every prime at
+# which two support points share a reduction into S, so at most one term is
+# nonzero per prime outside S and the weighted test is the plain one.
+is_soft_integral_weighted = is_soft_integral_general
 
 
 def _enumerate_chunk(delta: DeltaSupport3, bound: int, c_values) -> list[P1PointQ]:
-    a_pos = _candidate_values(delta.n0, bound)
-    b_ok = _powerful_test_set(delta.n1, 2 * bound)
+    a_pos = powerful_numbers(delta.n0, bound)
+    b_ok = None if delta.n1 == 1 else set(powerful_numbers(delta.n1, 2 * bound))
     out = []
     for c in c_values:
         for mag in a_pos:
@@ -228,8 +192,8 @@ def enumerate_soft_points(
     whenever some multiplicity exceeds 1.
     """
     if bound < 2:
-        raise ValueError("height bound must be at least 2")
-    c_values = _candidate_values(delta.n_inf, bound)
+        raise MathDomainError("height bound must be at least 2")
+    c_values = powerful_numbers(delta.n_inf, bound)
     w = pool_size(workers, len(c_values))
     if w > 1:
         parts = fork_starmap(_enumerate_chunk, [(delta, bound, c_values[i::w]) for i in range(w)])

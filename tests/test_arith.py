@@ -6,14 +6,17 @@ from hypothesis import strategies as st
 
 from constel.arith import (
     INFINITY,
+    ProjectivePointQ,
     canonicalize,
     factorize,
     is_n_powerful,
     is_prime,
+    parse_multiplicity,
     powerful_numbers,
     radical,
     valuation,
 )
+from constel.softpoints import P1PointQ
 
 import _oracles
 
@@ -151,6 +154,26 @@ class TestCanonicalize:
         assert canonicalize(pt.coords) == pt
         assert canonicalize(tuple(k * x for x in coords)) == pt
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.integers(min_value=-60, max_value=60), min_size=1, max_size=4),
+        st.tuples(st.integers(min_value=-60, max_value=60), st.integers(min_value=-60, max_value=60)),
+    )
+    def test_one_normalization(self, coords, pair):
+        # ProjectivePointQ accepts exactly the canonical tuples, and P1PointQ(a, c)
+        # reduces (c, a) by the same rule
+        cs = tuple(coords)
+        if any(cs):
+            if canonicalize(cs).coords == cs:
+                assert ProjectivePointQ(cs).coords == cs
+            else:
+                with pytest.raises(ValueError):
+                    ProjectivePointQ(cs)
+        c, a = pair
+        if any(pair):
+            point = P1PointQ(a, c)
+            assert (point.c, point.a) == canonicalize((c, a)).coords
+
 
 def test_is_prime_matches_sympy():
     import sympy
@@ -159,3 +182,12 @@ def test_is_prime_matches_sympy():
         assert is_prime(n) == sympy.isprime(n)
     for n in (2**61 - 1, 2**61 + 15, 10**12 + 39):
         assert is_prime(n) == sympy.isprime(n)
+
+
+class TestParseMultiplicity:
+    def test_tokens(self):
+        assert parse_multiplicity(" inf ") == INFINITY
+        assert parse_multiplicity("7") == 7
+        for bad in ("0", "-2", "x", "", "2.5", "infinity"):
+            with pytest.raises(ValueError):
+                parse_multiplicity(bad)

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from constel import heights
 from constel.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -156,6 +157,42 @@ class TestExitCodes:
         assert "unsupported" in out
         assert run(capsys, "enumerate", "--delta", "2,2,2", "--max", "1")[0] == 3
         assert run(capsys, "vojta-gap", "--eps-prime", "1.5", "--max-c", "10")[0] == 3
+
+    def test_retyped_preconditions_stay_3(self, capsys, tmp_path):
+        f = tmp_path / "negative.txt"
+        f.write_text("dim 2\n2; (1,-1)\n")
+        assert run(capsys, "firmament", str(f), "--rays", "(1,0)")[0] == 3
+        assert run(capsys, "firmament", str(DATA / "firm_34.txt"), "--rays", "0")[0] == 3
+        assert run(capsys, "abc-scan", "--max-c", "1")[0] == 3
+        assert run(capsys, "abc-scan", "--max-c", "10", "--min-quality", "0")[0] == 3
+        assert run(capsys, "vojta-gap", "--eps-prime", "0.2", "--max-c", "1")[0] == 3
+        assert run(capsys, "minimal-profiles", "--max-mult", "1")[0] == 3
+        assert run(capsys, "minimal-profiles", "--max-marks", "0")[0] == 3
+
+    def test_internal_fault_is_1(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("math domain error")
+
+        monkeypatch.setattr(heights, "scan_abc", broken)
+        assert main(["abc-scan", "--max-c", "10"]) == 1
+        assert "internal error: math domain error" in capsys.readouterr().err
+
+    def test_unreadable_file_is_2(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.txt")
+        assert run(capsys, "classify", "--file", missing)[0] == 2
+        assert run(capsys, "firmament", missing, "--rays", "1")[0] == 2
+        binary = tmp_path / "binary.txt"
+        binary.write_bytes(b"g=0;m=\xff\n")
+        assert run(capsys, "classify", "--file", str(binary))[0] == 2
+
+    def test_sieve_cap_is_4(self, capsys, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("the radical sieve was allocated")
+
+        monkeypatch.setattr(heights, "array", no_table)
+        over = str(heights.MAX_SIEVE_LIMIT + 1)
+        assert run(capsys, "abc-scan", "--max-c", over)[0] == 4
+        assert run(capsys, "vojta-gap", "--eps-prime", "0.2", "--max-c", over)[0] == 4
 
 
 class TestConfig:

@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from constel.arith import canonicalize, radical
-from constel.errors import MathDomainError, PointOnBoundaryError, UnsupportedFieldError
+from constel import heights
+from constel.errors import (
+    MathDomainError,
+    PointOnBoundaryError,
+    ResourceLimitError,
+    UnsupportedFieldError,
+)
 from constel.heights import (
     AbcTriple,
     Form,
@@ -269,3 +275,15 @@ class TestVojtaScan:
         # 7^3 + 3^10 = 2^11 * 29
         assert (last.a, last.b, last.c) == (343, 59049, 59392)
         assert last.gap == pytest.approx(0.8 * math.log(59392) - math.log(7 * 3 * 2 * 29), abs=1e-12)
+
+
+def test_sieve_cap_refuses_before_allocating(monkeypatch):
+    def no_table(*args):
+        raise AssertionError("the radical sieve was allocated")
+
+    monkeypatch.setattr(heights, "array", no_table)
+    over = heights.MAX_SIEVE_LIMIT + 1
+    with pytest.raises(ResourceLimitError):
+        scan_abc(over, Fraction(1))
+    with pytest.raises(ResourceLimitError):
+        scan_vojta_gap(0.2, over)
