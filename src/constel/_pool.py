@@ -35,9 +35,12 @@ def fork_starmap(func, arglists: list[tuple]) -> list:
     """[func(*args) for args in arglists], one forked process per entry.
     The workers inherit func with the parent's memory instead of having it
     pickled, so it may be a closure over large tables; only the argument
-    tuples and the results travel between processes."""
+    tuples and the results travel between processes.  Where the platform
+    cannot fork, the entries run one after the other in this process."""
     import multiprocessing  # only parallel runs pay for the import
 
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return [func(*args) for args in arglists]
     with multiprocessing.get_context("fork").Pool(
         len(arglists), initializer=_install, initargs=(func,)
     ) as pool:

@@ -8,12 +8,20 @@ and every function is pure, so concurrent use needs no coordination.
 from __future__ import annotations
 
 import math
+import operator
+from array import array
 from dataclasses import dataclass
 from math import gcd, isqrt
+
+from .errors import MathDomainError, ResourceLimitError
 
 INFINITY = math.inf  # multiplicity of a reduced boundary mark; sorts above every int
 
 DEFAULT_RHO_THRESHOLD = 10**8
+
+# longest radical sieve: it holds about 16 bytes per n at its peak (the
+# 64-bit table plus the transient factor sieve), so 1.6 GB here
+MAX_SIEVE_LIMIT = 10**8
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -184,6 +192,30 @@ def radical(n: int) -> int:
     return factorize(n).radical()
 
 
+def _rad_table(limit: int) -> array:
+    """Radicals of 0..limit via a smallest-prime-factor sieve, in a 64-bit
+    array (8 bytes an entry; every value fits, and products taken from it
+    are Python ints).  Limits above MAX_SIEVE_LIMIT are refused before
+    anything is allocated."""
+    if limit > MAX_SIEVE_LIMIT:
+        raise ResourceLimitError(
+            f"a scan up to {limit} needs about {16 * limit // 10**6} MB of radical tables; "
+            f"the cap is {MAX_SIEVE_LIMIT}"
+        )
+    spf = array("q", range(limit + 1))
+    for p in range(2, isqrt(limit) + 1):
+        if spf[p] == p:
+            for q in range(p * p, limit + 1, p):
+                if spf[q] == q:
+                    spf[q] = p
+    rad = array("q", [1]) * (limit + 1)
+    for n in range(2, limit + 1):
+        p = spf[n]
+        m = n // p
+        rad[n] = rad[m] if m % p == 0 else rad[m] * p
+    return rad
+
+
 def check_multiplicity(m, minimum: int = 1):
     """Validate a multiplicity: an integer >= minimum, or INFINITY."""
     if m == INFINITY:
@@ -213,6 +245,16 @@ def is_n_powerful(n: int, m) -> bool:
     return all(e >= m for _, e in factorize(n).factors)
 
 
+def _as_int(x) -> int:
+    """x as a plain int.  Integer types pass (bool and numpy integers
+    included, as int() let them); floats, Fractions and strings raise
+    instead of being truncated or parsed."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise MathDomainError(f"expected an integer, got {x!r}") from None
+
+
 def _primitive(cs: tuple[int, ...]) -> tuple[int, ...]:
     """The primitive representative of the projective class of cs: divided
     by the gcd of its entries, first nonzero entry positive."""
@@ -235,7 +277,7 @@ class ProjectivePointQ:
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        cs = tuple(int(x) for x in self.coords)
+        cs = tuple(map(_as_int, self.coords))
         object.__setattr__(self, "coords", cs)
         if _primitive(cs) != cs:
             raise ValueError(f"coordinates {cs} are not primitive and sign-normalized")
@@ -250,36 +292,44 @@ def canonicalize(coords) -> ProjectivePointQ:
     >>> canonicalize((3, 9, 12)).coords
     (1, 3, 4)
     """
-    return ProjectivePointQ(_primitive(tuple(int(x) for x in coords)))
+    return ProjectivePointQ(_primitive(tuple(map(_as_int, coords))))
 
 
 def powerful_numbers(m, limit: int) -> list[int]:
     """Sorted list of the m-powerful integers in [1, limit]."""
     check_multiplicity(m)
-    if limit < 1:
-        return []
-    if m == INFINITY:
-        return [1]
     if m == 1:
         return list(range(1, limit + 1))
+    return sorted(_powerful_radicals(m, limit))
+
+
+def _powerful_radicals(m, limit: int) -> dict[int, int]:
+    """{n: rad n} for the m-powerful n in [1, limit], for m >= 2 or
+    INFINITY.  Each n is built as a product of prime powers p^e, e >= m,
+    over increasing primes, so its radical comes with it."""
+    if limit < 1:
+        return {}
+    if m == INFINITY:
+        return {1: 1}
     root = int(round(limit ** (1.0 / m)))
     while root**m > limit:
         root -= 1
     while (root + 1) ** m <= limit:
         root += 1
     ps = primes_up_to(root)
-    out = [1]
+    out = {1: 1}
 
-    def explore(i: int, v: int) -> None:
+    def explore(i: int, v: int, r: int) -> None:
         for j in range(i, len(ps)):
-            w = v * ps[j] ** m
+            p = ps[j]
+            w = v * p**m
             if w > limit:
                 break
+            rp = r * p
             while w <= limit:
-                out.append(w)
-                explore(j + 1, w)
-                w *= ps[j]
+                out[w] = rp
+                explore(j + 1, w, rp)
+                w *= p
 
-    explore(0, 1)
-    out.sort()
+    explore(0, 1, 1)
     return out

@@ -19,21 +19,24 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import curves, firmaments, heights, softpoints
-from .arith import parse_multiplicity, radical
+from .arith import parse_multiplicity
 from .errors import MathDomainError, ParseError, RayUnsupportedError, ResourceLimitError
 
 
 def _fmt(value) -> str:
+    # plain ints first, by exact type: they fill nearly every cell
+    if type(value) is int:
+        return str(value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:.9f}"
-    if isinstance(value, Fraction):
-        return str(value)
     return str(value)
 
 
 def _json_value(value):
+    if type(value) is int:
+        return value
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, float):
@@ -100,17 +103,12 @@ def _cmd_classify(args) -> tuple[list[str], int]:
     return _emit(rows, ("profile", "degree", "kappa", "prediction"), args.format), 0
 
 
-def _point_row(point: softpoints.P1PointQ):
-    a, b, c = point.a, point.b, point.c
-    return (a, c, b, True, max(abs(a), abs(b), abs(c)), radical(abs(a * b * c)))
-
-
 def _cmd_enumerate(args) -> tuple[list[str], int]:
     delta = _parse_delta(args.delta)
-    points = softpoints.enumerate_soft_points(
-        delta, args.max, positive_only=args.positive, workers=args.workers
-    )
-    rows = [_point_row(p) for p in points]
+    rows = [
+        (a, c, c - a, True, max(abs(a), abs(c - a), c), rad)
+        for c, a, rad in softpoints._soft_rows(delta, args.max, args.positive, args.workers)
+    ]
     return _emit(rows, ("a", "c", "b", "soft", "M", "rad"), args.format), 0
 
 

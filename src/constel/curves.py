@@ -166,9 +166,10 @@ def minimal_general_type_profiles(max_marks: int, max_mult: int) -> list[tuple[i
     genus-0 curve that are of general type and minimal for the dominance
     order (componentwise after sorting, a missing mark counting as 1).
 
-    The search never extends a prefix that is already of general type --
-    such extensions are dominated by the prefix -- so the enumeration stays
-    tiny even for large bounds.
+    The search never extends a prefix that is already of general type,
+    nor raises its last mark past the first value that makes it one --
+    such profiles are dominated by that candidate -- so the enumeration
+    stays small even for large bounds.
     """
     if max_marks < 1:
         raise MathDomainError("max_marks must be at least 1")
@@ -183,7 +184,9 @@ def minimal_general_type_profiles(max_marks: int, max_mult: int) -> list[tuple[i
             if new_total > 2:
                 if _is_minimal_general_type(cand):
                     found.append(cand)
-            elif len(cand) < max_marks:
+                # a larger last mark gives a profile dominated by cand
+                break
+            if len(cand) < max_marks:
                 extend(cand, new_total, m)
 
     extend((), Fraction(0), 2)

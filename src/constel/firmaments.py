@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import _linalg
-from .arith import is_prime
+from .arith import _as_int, is_prime
 from .errors import MathDomainError, ParseError
 from .monoids import LatticeMonoid, min_multiple
 
@@ -27,7 +27,7 @@ class ExponentMap:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(int(x) for x in row) for row in self.entries)
+        rows = tuple(tuple(map(_as_int, row)) for row in self.entries)
         object.__setattr__(self, "entries", rows)
         if not rows or not rows[0]:
             raise ValueError("exponent matrix must be nonempty")
@@ -52,7 +52,7 @@ class ExponentMap:
         return [tuple(r[j] for r in self.entries) for j in range(self.cols)]
 
     def apply(self, v) -> tuple[int, ...]:
-        v = tuple(int(x) for x in v)
+        v = tuple(map(_as_int, v))
         if len(v) != self.cols:
             raise ValueError(f"vector {v} has wrong dimension (want {self.cols})")
         if any(x < 0 for x in v):
@@ -189,7 +189,7 @@ class ReductionDatum:
     stratum_point: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "stratum_point", tuple(int(x) for x in self.stratum_point))
+        object.__setattr__(self, "stratum_point", tuple(map(_as_int, self.stratum_point)))
         if not is_prime(self.prime):
             raise ValueError(f"{self.prime} is not prime")
         if any(x < 0 for x in self.stratum_point):

@@ -10,7 +10,6 @@ exact factorizations.
 from __future__ import annotations
 
 import math
-from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,12 +18,15 @@ from itertools import islice
 from math import gcd, isqrt
 
 from ._pool import fork_starmap, pool_size
-from .arith import ProjectivePointQ, factorize, radical
+from .arith import MAX_SIEVE_LIMIT, ProjectivePointQ, _rad_table, factorize, radical
 from .errors import MathDomainError, PointOnBoundaryError, ResourceLimitError, UnsupportedFieldError
 
-# largest scan window: the radical sieve holds about 16 bytes per n at its
-# peak (the 64-bit table plus the transient factor sieve), so 1.6 GB here
-MAX_SIEVE_LIMIT = 10**8
+# MAX_SIEVE_LIMIT, the cap on the scan window, is re-exported from arith,
+# where the one radical sieve lives
+
+# largest numerator or denominator of an abc quality threshold p/q: the
+# exact test raises c to the power q and rad(abc) to the power p
+MAX_THRESHOLD_TERM = 10**5
 
 
 @dataclass(frozen=True)
@@ -198,30 +200,6 @@ def vojta_gap(point: ProjectivePointQ, eps_prime: float) -> float:
     return (1 - eps_prime) * naive_height(point).h - report.N_trunc
 
 
-def _rad_table(limit: int) -> array:
-    """Radicals of 0..limit via a smallest-prime-factor sieve, in a 64-bit
-    array (8 bytes an entry; every value fits, and products taken from it
-    are Python ints).  Limits above MAX_SIEVE_LIMIT are refused before
-    anything is allocated."""
-    if limit > MAX_SIEVE_LIMIT:
-        raise ResourceLimitError(
-            f"a scan up to {limit} needs about {16 * limit // 10**6} MB of radical tables; "
-            f"the cap is {MAX_SIEVE_LIMIT}"
-        )
-    spf = array("q", range(limit + 1))
-    for p in range(2, isqrt(limit) + 1):
-        if spf[p] == p:
-            for q in range(p * p, limit + 1, p):
-                if spf[q] == q:
-                    spf[q] = p
-    rad = array("q", [1]) * (limit + 1)
-    for n in range(2, limit + 1):
-        p = spf[n]
-        m = n // p
-        rad[n] = rad[m] if m % p == 0 else rad[m] * p
-    return rad
-
-
 class _RadicalIndex:
     """The radicals of 0..limit, and the n in 1..limit ordered by (rad n, n).
 
@@ -362,7 +340,10 @@ def scan_abc(max_c: int, min_quality: Fraction, workers: int = 1) -> list[AbcHit
     found through the radical index (see _pruned_triples); floats only size
     that search.  The threshold test is exact -- c^q >= rad^p for
     min_quality = p/q -- so the result is independent of floating-point
-    behavior; the float quality in each hit is for display.  With workers,
+    behavior; the float quality in each hit is for display.  Thresholds
+    below 1/3 act as 1/3, which every coprime triple beats; a threshold
+    whose reduced numerator or denominator exceeds MAX_THRESHOLD_TERM is
+    refused with ResourceLimitError before anything is built.  With workers,
     the c-range is cut into equal lengths, one per process (at most one per
     usable CPU), and worker counts never change the output."""
     if max_c < 2:
@@ -370,6 +351,14 @@ def scan_abc(max_c: int, min_quality: Fraction, workers: int = 1) -> list[AbcHit
     min_quality = Fraction(min_quality)
     if min_quality <= 0:
         raise MathDomainError("min_quality must be positive")
+    # rad(abc) <= abc < c^3, so every coprime triple has quality above 1/3
+    # and any lower threshold admits the same triples
+    min_quality = max(min_quality, Fraction(1, 3))
+    if max(min_quality.numerator, min_quality.denominator) > MAX_THRESHOLD_TERM:
+        raise ResourceLimitError(
+            f"quality threshold {min_quality} has a term above {MAX_THRESHOLD_TERM}; "
+            f"the exact test would raise c to that power"
+        )
     index = _RadicalIndex(max_c)
     w = pool_size(workers, max_c // 8)
     if w > 1:

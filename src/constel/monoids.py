@@ -14,6 +14,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 from . import _linalg
+from .arith import _as_int
 from .errors import BoundExceededError, InfiniteGapsError, MathDomainError, RayUnsupportedError
 
 DEFAULT_MULTIPLE_CAP = 10**6
@@ -78,7 +79,7 @@ class LatticeMonoid:
             raise MathDomainError(f"dimension must be a positive integer, got {self.dimension!r}")
         gens = []
         for g in self.generators:
-            t = tuple(int(x) for x in g)
+            t = tuple(map(_as_int, g))
             if len(t) != self.dimension:
                 raise MathDomainError(f"generator {t} has wrong dimension (want {self.dimension})")
             if any(x < 0 for x in t):
@@ -109,7 +110,7 @@ class LatticeMonoid:
 
     def member(self, v) -> bool:
         """True iff v is a nonnegative integer combination of the generators."""
-        v = tuple(int(x) for x in v)
+        v = tuple(map(_as_int, v))
         if len(v) != self.dimension:
             raise ValueError(f"vector {v} has wrong dimension (want {self.dimension})")
         if any(x < 0 for x in v):

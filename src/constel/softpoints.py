@@ -12,18 +12,23 @@ on the cross-determinant a*v - c*u against each support point (u:v).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 from ._pool import fork_starmap, pool_size
 from .arith import (
     INFINITY,
+    MAX_SIEVE_LIMIT,
+    _as_int,
+    _powerful_radicals,
     _primitive,
+    _rad_table,
     check_multiplicity,
     factorize,
     is_n_powerful,
-    powerful_numbers,
     radical,
 )
 from .errors import MathDomainError, PointOnBoundaryError
@@ -41,7 +46,7 @@ class P1PointQ:
     c: int
 
     def __post_init__(self):
-        c, a = _primitive((int(self.c), int(self.a)))
+        c, a = _primitive((_as_int(self.c), _as_int(self.a)))
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "c", c)
 
@@ -159,22 +164,89 @@ def is_soft_integral_general(point: P1PointQ, delta: GeneralDeltaQ) -> bool:
 is_soft_integral_weighted = is_soft_integral_general
 
 
-def _enumerate_chunk(delta: DeltaSupport3, bound: int, c_values) -> list[P1PointQ]:
-    a_pos = powerful_numbers(delta.n0, bound)
-    b_ok = None if delta.n1 == 1 else set(powerful_numbers(delta.n1, 2 * bound))
+def _role(m, limit: int):
+    """One role's sorted candidates, membership container and radicals
+    (None for m = 1, whose radicals come from the sieve or factoring)."""
+    if m == 1:
+        values = range(1, limit + 1)
+        return values, values, None
+    rads = _powerful_radicals(m, limit)
+    return sorted(rads), rads, rads.__getitem__
+
+
+def _rows_by_c(X, in_y, rad_x, rad_y, rad_c, x_is_a, positive_only, cs):
+    # x is |a| (or |b|) with either sign and the other of the two is
+    # y = c - (+-x), looked up; as a + b = c, the orders (c, a) and (c, b)
+    # are this one loop with a and b swapped
     out = []
-    for c in c_values:
-        for mag in a_pos:
-            if gcd(mag, c) != 1:
-                continue
-            for a in (-mag, mag):
-                b = c - a
-                if a == c:
-                    continue
-                if b_ok is not None and abs(b) not in b_ok:
-                    continue
-                out.append(P1PointQ(a, c))
+    for c in cs:
+        k = bisect_left(X, c)
+        sides = [(1, [x for x in X[:k] if c - x in in_y])]
+        if not positive_only:
+            sides.append((1, [x for x in X[k:] if x - c in in_y]))
+            sides.append((-1, [x for x in X if c + x in in_y]))
+        rc = rad_c(c)
+        for sign, xs in sides:
+            for x in xs:
+                if gcd(x, c) == 1:
+                    y = c - sign * x
+                    out.append((c, sign * x if x_is_a else y, rad_x(x) * rad_y(abs(y)) * rc))
     return out
+
+
+def _rows_by_a_b(B, in_c, rad_a, rad_b, rad_c, positive_only, xs):
+    # (a, b) = (x, y): c = x + y; (x, -y): c = x - y; (-x, y): c = y - x;
+    # in_c holds only 1..bound, so it also bounds c
+    out = []
+    for x in xs:
+        cands = [(x, y, x + y) for y in B if x + y in in_c]
+        if not positive_only:
+            cands += [(x, y, x - y) for y in B if x - y in in_c]
+            cands += [(-x, y, y - x) for y in B if y - x in in_c]
+        rx = rad_a(x)
+        for a, y, c in cands:
+            if gcd(x, c) == 1:
+                out.append((c, a, rx * rad_b(y) * rad_c(c)))
+    return out
+
+
+def _soft_rows(delta: DeltaSupport3, bound: int, positive_only: bool, workers: int):
+    """(c, a, rad |abc|) for each point of enumerate_soft_points, sorted.
+
+    Of the three roles -- a with |a| <= bound, b = c - a with |b| <=
+    2 bound, c <= bound -- the scan runs over the two whose pairs are
+    fewest and looks the third up.  The values of a coprime pair are
+    pairwise coprime, so rad |abc| = rad |a| rad |b| rad c, each factor
+    read from its role's table: the powerful-number recursion for m >= 2,
+    and for m = 1 a radical sieve, unless the sieve would be longer than
+    the pairs visited or than MAX_SIEVE_LIMIT, in which case each hit is
+    factored."""
+    if bound < 2:
+        raise MathDomainError("height bound must be at least 2")
+    limits = (bound, 2 * bound, bound)
+    roles = [_role(m, limit) for m, limit in zip(delta.as_tuple(), limits)]
+    (A, in_a, rad_a), (B, in_b, rad_b), (C, in_c, rad_c) = roles
+    pairs, order = min((len(C) * 2 * len(A), 0), (len(C) * 2 * len(B), 1), (4 * len(A) * len(B), 2))
+    sieved = [limit for (_, _, rad), limit in zip(roles, limits) if rad is None]
+    if sieved:
+        n = max(sieved)
+        flat = _rad_table(n).__getitem__ if n <= min(pairs, MAX_SIEVE_LIMIT) else radical
+        rad_a, rad_b, rad_c = (flat if r is None else r for r in (rad_a, rad_b, rad_c))
+    if order == 0:
+        loop, outer = partial(_rows_by_c, A, in_b, rad_a, rad_b, rad_c, True, positive_only), C
+    elif order == 1:
+        loop, outer = partial(_rows_by_c, B, in_a, rad_b, rad_a, rad_c, False, positive_only), C
+    else:
+        loop, outer = partial(_rows_by_a_b, B, in_c, rad_a, rad_b, rad_c, positive_only), A
+    w = pool_size(workers, len(outer))
+    if w > 1:
+        # the workers inherit the tables through the fork
+        parts = fork_starmap(loop, [(outer[i::w],) for i in range(w)])
+        rows = [row for part in parts for row in part]
+    else:
+        rows = loop(outer)
+    rows.sort()
+    return rows
 
 
 def enumerate_soft_points(
@@ -187,23 +259,15 @@ def enumerate_soft_points(
     ordered by c then a.  Negative numerators are included unless
     positive_only restricts to 0 < a < c.
 
-    Candidates are generated constructively from the powerful numbers for
-    each coordinate, so the scan is far smaller than the coprime grid
-    whenever some multiplicity exceeds 1.
+    Each role of the triple a + b = c draws its candidates from the
+    powerful numbers of its multiplicity, up to the height bound (twice
+    it for b).  The scan runs over the pair of roles with the fewest
+    pairs -- (c, a), (c, b) or (a, b) -- and tests the third by lookup, so
+    it is far smaller than the coprime grid whenever some multiplicity
+    exceeds 1.  Worker processes split the outer role of that pair; no
+    worker count changes the result.
     """
-    if bound < 2:
-        raise MathDomainError("height bound must be at least 2")
-    c_values = powerful_numbers(delta.n_inf, bound)
-    w = pool_size(workers, len(c_values))
-    if w > 1:
-        parts = fork_starmap(_enumerate_chunk, [(delta, bound, c_values[i::w]) for i in range(w)])
-        points = [p for part in parts for p in part]
-    else:
-        points = _enumerate_chunk(delta, bound, c_values)
-    if positive_only:
-        points = [p for p in points if 0 < p.a < p.c]
-    points.sort(key=lambda p: (p.c, p.a))
-    return points
+    return [P1PointQ(a, c) for c, a, _ in _soft_rows(delta, bound, positive_only, workers)]
 
 
 @dataclass(frozen=True)

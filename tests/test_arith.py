@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 from constel.arith import (
     INFINITY,
     ProjectivePointQ,
+    _as_int,
+    _powerful_radicals,
     canonicalize,
     factorize,
     is_n_powerful,
@@ -16,6 +19,9 @@ from constel.arith import (
     radical,
     valuation,
 )
+from constel.errors import MathDomainError
+from constel.firmaments import ExponentMap, ReductionDatum
+from constel.monoids import LatticeMonoid, monoid
 from constel.softpoints import P1PointQ
 
 import _oracles
@@ -131,6 +137,14 @@ class TestPowerful:
         assert powerful_numbers(1, 7) == [1, 2, 3, 4, 5, 6, 7]
         assert powerful_numbers(INFINITY, 10**6) == [1]
 
+    def test_radicals_come_with_the_numbers(self):
+        for m in (2, 3, 4):
+            rads = _powerful_radicals(m, 5000)
+            assert sorted(rads) == powerful_numbers(m, 5000)
+            assert all(r == radical(n) for n, r in rads.items())
+        assert _powerful_radicals(INFINITY, 10**6) == {1: 1}
+        assert _powerful_radicals(2, 0) == {}
+
 
 class TestCanonicalize:
     def test_examples(self):
@@ -191,3 +205,29 @@ class TestParseMultiplicity:
         for bad in ("0", "-2", "x", "", "2.5", "infinity"):
             with pytest.raises(ValueError):
                 parse_multiplicity(bad)
+
+
+class TestIntegersOnly:
+    def test_as_int(self):
+        assert _as_int(7) == 7 and type(_as_int(True)) is int
+        for bad in (1.5, 2.0, Fraction(1, 2), Fraction(4, 2), "3", None):
+            with pytest.raises(MathDomainError):
+                _as_int(bad)
+
+    def test_constructors_refuse_non_integers(self):
+        # each of these used to truncate through int()
+        refused = [
+            lambda: canonicalize((1.5, 2)),
+            lambda: ProjectivePointQ((1.0, 2)),
+            lambda: P1PointQ(2.9, 4),
+            lambda: LatticeMonoid(1, ((1.5,),)),
+            lambda: monoid(2, 3).member((2.5,)),
+            lambda: ExponentMap(((1.5, 1),)),
+            lambda: ReductionDatum(2, (0.5,)),
+        ]
+        for build in refused:
+            with pytest.raises(MathDomainError):
+                build()
+        assert canonicalize((2, 4)).coords == (1, 2)
+        assert (P1PointQ(4, 6).a, P1PointQ(4, 6).c) == (2, 3)
+        assert monoid(2, 3).member((5,))

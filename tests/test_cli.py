@@ -3,8 +3,10 @@ from pathlib import Path
 
 import pytest
 
-from constel import heights
+from constel import arith, heights
 from constel.cli import main
+
+import _oracles
 
 GOLDEN = Path(__file__).parent / "golden"
 DATA = Path(__file__).parent / "data"
@@ -189,10 +191,42 @@ class TestExitCodes:
         def no_table(*args):
             raise AssertionError("the radical sieve was allocated")
 
-        monkeypatch.setattr(heights, "array", no_table)
+        monkeypatch.setattr(arith, "array", no_table)
         over = str(heights.MAX_SIEVE_LIMIT + 1)
         assert run(capsys, "abc-scan", "--max-c", over)[0] == 4
         assert run(capsys, "vojta-gap", "--eps-prime", "0.2", "--max-c", over)[0] == 4
+
+
+    def test_tiny_quality_thresholds_run(self, capsys):
+        # every coprime triple has quality above 1/3, so lower thresholds
+        # all give the full list, at once
+        _, everything = run(capsys, "abc-scan", "--max-c", "30", "--min-quality", "1/3")
+        for tiny in ("0.25", "1e-300", "1e-400"):
+            assert run(capsys, "abc-scan", "--max-c", "30", "--min-quality", tiny) == (0, everything)
+
+    def test_long_quality_threshold_is_4(self, capsys, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("the radical sieve was allocated")
+
+        monkeypatch.setattr(arith, "array", no_table)
+        assert run(capsys, "abc-scan", "--max-c", "30", "--min-quality", "1.4142135623730951")[0] == 4
+
+
+class TestEnumerateRows:
+    @pytest.mark.parametrize("delta", ["2,2,2", "1,3,1", "3,1,1"])
+    def test_radicals_without_factoring(self, capsys, monkeypatch, delta):
+        def no_factoring(n):
+            raise AssertionError(f"factorize({n}) was called")
+
+        monkeypatch.setattr(arith, "factorize", no_factoring)
+        code, out = run(capsys, "enumerate", "--delta", delta, "--max", "150")
+        assert code == 0
+        lines = ["# a\tc\tb\tsoft\tM\trad"]
+        for a, c in _oracles.brute_soft_points(*map(int, delta.split(",")), 150):
+            b = c - a
+            rad = _oracles.sympy_radical(abs(a * b * c))
+            lines.append(f"{a}\t{c}\t{b}\ttrue\t{max(abs(a), abs(b), c)}\t{rad}")
+        assert out == "\n".join(lines) + "\n"
 
 
 class TestConfig:

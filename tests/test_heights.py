@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from constel.arith import canonicalize, radical
-from constel import heights
+from constel import arith, heights
 from constel.errors import (
     MathDomainError,
     PointOnBoundaryError,
@@ -277,11 +277,30 @@ class TestVojtaScan:
         assert last.gap == pytest.approx(0.8 * math.log(59392) - math.log(7 * 3 * 2 * 29), abs=1e-12)
 
 
+class TestQualityThresholds:
+    def test_below_one_third_admits_every_coprime_triple(self):
+        everything = scan_abc(60, Fraction(1, 3))
+        pairs = {(a, c - a, c) for c in range(2, 61) for a in range(1, c // 2 + 1) if math.gcd(a, c) == 1}
+        assert {(h.a, h.b, h.c) for h in everything} == pairs
+        for tiny in (Fraction(1, 4), Fraction(1, 10**300), Fraction(1, 10**400)):
+            assert scan_abc(60, tiny) == everything
+
+    def test_long_terms_are_refused_before_the_sieve(self, monkeypatch):
+        def no_table(*args):
+            raise AssertionError("the radical sieve was allocated")
+
+        monkeypatch.setattr(arith, "array", no_table)
+        cap = heights.MAX_THRESHOLD_TERM
+        for q in (Fraction("1.4142135623730951"), Fraction(cap + 1, cap), Fraction(cap, cap + 1)):
+            with pytest.raises(ResourceLimitError):
+                scan_abc(30, q)
+
+
 def test_sieve_cap_refuses_before_allocating(monkeypatch):
     def no_table(*args):
         raise AssertionError("the radical sieve was allocated")
 
-    monkeypatch.setattr(heights, "array", no_table)
+    monkeypatch.setattr(arith, "array", no_table)
     over = heights.MAX_SIEVE_LIMIT + 1
     with pytest.raises(ResourceLimitError):
         scan_abc(over, Fraction(1))

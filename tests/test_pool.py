@@ -58,3 +58,30 @@ def test_huge_worker_counts_are_clamped(pool_sizes, monkeypatch):
     assert scan_abc(600, Fraction(1), workers=100_000) == abc
     assert enumerate_soft_points(delta, 2000, workers=100_000) == points
     assert pool_sizes == [7, 7]
+
+
+@pytest.mark.parametrize("ms", [(3, 1, 1), (1, 3, 1), (2, 2, 1), (2, 2, 2)])
+def test_soft_points_agree_across_workers(pool_sizes, monkeypatch, ms):
+    # one delta per loop order; the chunks split that order's outer role
+    monkeypatch.setattr(_pool, "usable_cpus", lambda: 7)
+    delta = DeltaSupport3(*ms)
+    single = enumerate_soft_points(delta, 400)
+    assert enumerate_soft_points(delta, 400, workers=2) == single
+    assert enumerate_soft_points(delta, 400, workers=3) == single
+    assert enumerate_soft_points(delta, 400, positive_only=True, workers=3) == [
+        p for p in single if 0 < p.a < p.c
+    ]
+    assert pool_sizes == [2, 3, 3]
+
+
+def test_without_fork_the_work_runs_in_process(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was requested")
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    monkeypatch.setattr(_pool, "usable_cpus", lambda: 4)
+    assert _pool.fork_starmap(pow, [(2, 3), (3, 2)]) == [8, 9]
+    assert scan_abc(600, Fraction(1), workers=4) == scan_abc(600, Fraction(1))
+    delta = DeltaSupport3(2, 2, 2)
+    assert enumerate_soft_points(delta, 2000, workers=4) == enumerate_soft_points(delta, 2000)

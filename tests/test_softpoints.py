@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from constel import softpoints
 from constel.arith import INFINITY
 from constel.errors import MathDomainError, PointOnBoundaryError
 from constel.softpoints import (
@@ -21,6 +23,13 @@ from constel.softpoints import (
 import _oracles
 
 D222 = DeltaSupport3(2, 2, 2)
+ALL_DELTAS = list(itertools.product((1, 2, 3, INFINITY), repeat=3))
+
+
+def small_bound(ms):
+    # the brute oracle scans the whole grid; keep it small when two roles
+    # take every value
+    return 25 if ms.count(1) >= 2 else 90
 
 
 def std_support(m=2):
@@ -201,6 +210,44 @@ class TestEnumeration:
     def test_worker_counts_agree(self):
         single = enumerate_soft_points(D222, 2000)
         assert enumerate_soft_points(D222, 2000, workers=3) == single
+
+
+class TestSoftRows:
+    @pytest.mark.parametrize("ms", ALL_DELTAS, ids=lambda ms: ",".join(map(str, ms)))
+    def test_matches_brute_oracle_with_radicals(self, ms):
+        bound = small_bound(ms)
+        rows = softpoints._soft_rows(DeltaSupport3(*ms), bound, False, 1)
+        assert [(a, c) for c, a, _ in rows] == _oracles.brute_soft_points(*ms, bound)
+        for c, a, rad in rows:
+            assert rad == _oracles.sympy_radical(abs(a * (c - a) * c))
+        positive = softpoints._soft_rows(DeltaSupport3(*ms), bound, True, 1)
+        assert positive == [row for row in rows if 0 < row[1] < row[0]]
+
+    def test_every_order_and_radical_source_runs(self, monkeypatch):
+        seen = set()
+
+        def spy(name, original, label=None):
+            def wrapped(*args):
+                seen.add(label(args) if label else name)
+                return original(*args)
+
+            return wrapped
+
+        order_by_c = spy("_rows_by_c", softpoints._rows_by_c, lambda args: "c,a" if args[5] else "c,b")
+        monkeypatch.setattr(softpoints, "_rows_by_c", order_by_c)
+        monkeypatch.setattr(softpoints, "_rows_by_a_b", spy("a,b", softpoints._rows_by_a_b))
+        for name in ("radical", "_rad_table"):
+            monkeypatch.setattr(softpoints, name, spy(name, getattr(softpoints, name)))
+        for ms in ALL_DELTAS:
+            softpoints._soft_rows(DeltaSupport3(*ms), small_bound(ms), False, 1)
+        # radical is the fallback for a sieve longer than the pairs visited
+        assert seen == {"c,a", "c,b", "a,b", "radical", "_rad_table"}
+
+    def test_larger_bound_per_order(self):
+        # one delta per loop order, each against the brute oracle
+        for ms, bound in (((3, 1, 1), 400), ((1, 3, 1), 400), ((2, 2, 1), 600)):
+            got = [(p.a, p.c) for p in enumerate_soft_points(DeltaSupport3(*ms), bound)]
+            assert got == _oracles.brute_soft_points(*ms, bound), ms
 
 
 class TestBoundCheck:
