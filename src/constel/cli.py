@@ -219,25 +219,32 @@ def _load_config(path: str) -> dict[str, str]:
     return cfg
 
 
+_SWITCH_VALUES = {
+    **dict.fromkeys(("1", "true", "yes", "on"), True),
+    **dict.fromkeys(("0", "false", "no", "off"), False),
+}
+
+
 def _apply_config(cfg: dict, subparsers: dict) -> None:
     known = set()
     for p in subparsers.values():
-        actions = {a.dest: a for a in p._actions}
+        # help is not a setting, and a list positional is not one string
+        actions = {a.dest: a for a in p._actions if a.dest != "help" and a.nargs != "*"}
         known.update(a.replace("_", "-") for a in actions)
         for key, raw in cfg.items():
             dest = key.replace("-", "_")
             action = actions.get(dest)
             if action is None:
                 continue
-            if isinstance(action, argparse._StoreTrueAction):
-                value = raw.lower() in ("1", "true", "yes", "on")
-            elif action.type is not None:
-                try:
-                    value = action.type(raw)
-                except ValueError:
-                    raise ParseError(f"config key {key!r}: bad value {raw!r}") from None
-            else:
-                value = raw
+            try:
+                if isinstance(action, argparse._StoreTrueAction):
+                    value = _SWITCH_VALUES[raw.lower()]
+                else:
+                    value = raw if action.type is None else action.type(raw)
+                if action.choices is not None and value not in action.choices:
+                    raise ValueError(raw)
+            except (KeyError, ValueError):
+                raise ParseError(f"config key {key!r}: bad value {raw!r}") from None
             p.set_defaults(**{dest: value})
             action.required = False  # the config satisfied it
     unknown = [k for k in cfg if k.replace("_", "-") not in known and k not in ("config",)]

@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import INFINITY, check_multiplicity, parse_multiplicity
+from .arith import INFINITY, _as_int, check_multiplicity, parse_multiplicity
 from .errors import MathDomainError, ParseError
 
 
@@ -136,62 +136,30 @@ def curve_iitaka_dimension(deg_l: int, is_torsion: bool) -> Kappa:
     return Kappa.NEGATIVE
 
 
-def _total_delta(mults) -> Fraction:
-    return sum((delta_coefficient(m) for m in mults), Fraction(0))
-
-
-def _is_minimal_general_type(mults: tuple[int, ...]) -> bool:
-    # general type on genus 0 means sum of coefficients > 2; minimal means
-    # every single-step weakening (decrement one multiplicity, or drop a
-    # mark at multiplicity 2) falls back to <= 2
-    if _total_delta(mults) <= 2:
-        return False
-    seen = set()
-    for i, m in enumerate(mults):
-        if m in seen:
-            continue
-        seen.add(m)
-        weakened = list(mults)
-        if m == 2:
-            weakened.pop(i)
-        else:
-            weakened[i] = m - 1
-        if _total_delta(weakened) > 2:
-            return False
-    return True
+# The minimal general-type profiles on a genus-0 curve: the minimal
+# hyperbolic signatures, with sum(1 - 1/m_i) > 2.  Each mark adds at least
+# 1/2, so five or more marks dominate (2,2,2,2,2); four marks need one of
+# at least 3 (four 2s sum to exactly 2), so they dominate (2,2,2,3); three
+# marks need 1/m_1 + 1/m_2 + 1/m_3 < 1, whose minimal solutions are
+# (2,3,7), (2,4,5) and (3,3,4); two marks always sum to less than 2.
+_MINIMAL_GENERAL_TYPE = ((2, 2, 2, 2, 2), (2, 2, 2, 3), (2, 3, 7), (2, 4, 5), (3, 3, 4))
 
 
 def minimal_general_type_profiles(max_marks: int, max_mult: int) -> list[tuple[int, ...]]:
     """All multisets {m_1 <= ... <= m_k} of finite multiplicities >= 2 on a
     genus-0 curve that are of general type and minimal for the dominance
-    order (componentwise after sorting, a missing mark counting as 1).
+    order (componentwise after sorting, a missing mark counting as 1), with
+    at most max_marks marks and no multiplicity above max_mult.  The
+    complete list has five entries, so any bounds answer at once.
 
-    The search never extends a prefix that is already of general type,
-    nor raises its last mark past the first value that makes it one --
-    such profiles are dominated by that candidate -- so the enumeration
-    stays small even for large bounds.
+    >>> minimal_general_type_profiles(3, 6)
+    [(2, 4, 5), (3, 3, 4)]
     """
-    if max_marks < 1:
+    if _as_int(max_marks) < 1:
         raise MathDomainError("max_marks must be at least 1")
-    if max_mult < 2:
+    if _as_int(max_mult) < 2:
         raise MathDomainError("max_mult must be at least 2")
-    found = []
-
-    def extend(prefix: tuple[int, ...], total: Fraction, lowest: int) -> None:
-        for m in range(lowest, max_mult + 1):
-            new_total = total + delta_coefficient(m)
-            cand = prefix + (m,)
-            if new_total > 2:
-                if _is_minimal_general_type(cand):
-                    found.append(cand)
-                # a larger last mark gives a profile dominated by cand
-                break
-            if len(cand) < max_marks:
-                extend(cand, new_total, m)
-
-    extend((), Fraction(0), 2)
-    found.sort()
-    return found
+    return [t for t in _MINIMAL_GENERAL_TYPE if len(t) <= max_marks and max(t) <= max_mult]
 
 
 def parse_profile(text: str) -> MultiplicityProfile:

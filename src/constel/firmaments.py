@@ -123,7 +123,7 @@ def supported_constellation(firm: Firmament, rays) -> list[tuple[tuple[int, ...]
     """Boundary coefficients 1 - 1/m at each ray, as exact rationals."""
     out = []
     for ray in rays:
-        r = tuple(int(x) for x in ray)
+        r = tuple(map(_as_int, ray))
         m = multiplicity_at(firm, r)
         out.append((r, 1 - Fraction(1, m)))
     return out

@@ -18,7 +18,7 @@ from itertools import islice
 from math import gcd, isqrt
 
 from ._pool import fork_starmap, pool_size
-from .arith import MAX_SIEVE_LIMIT, ProjectivePointQ, _rad_table, factorize, radical
+from .arith import MAX_SIEVE_LIMIT, ProjectivePointQ, _as_int, _rad_table, factorize, radical
 from .errors import MathDomainError, PointOnBoundaryError, ResourceLimitError, UnsupportedFieldError
 
 # MAX_SIEVE_LIMIT, the cap on the scan window, is re-exported from arith,
@@ -40,10 +40,10 @@ class Form:
     def __post_init__(self):
         merged: dict[tuple[int, ...], int] = {}
         for exps, coeff in self.terms:
-            e = tuple(int(x) for x in exps)
+            e = tuple(map(_as_int, exps))
             if len(e) != self.nvars or any(x < 0 for x in e):
                 raise ValueError(f"bad exponent tuple {e} for {self.nvars} variables")
-            merged[e] = merged.get(e, 0) + int(coeff)
+            merged[e] = merged.get(e, 0) + _as_int(coeff)
         terms = tuple(sorted((e, c) for e, c in merged.items() if c != 0))
         if not terms:
             raise ValueError("the zero form is not allowed")
@@ -67,7 +67,7 @@ class Form:
         return cls(nvars, ((exps, 1),))
 
     def evaluate(self, coords) -> int:
-        coords = tuple(int(x) for x in coords)
+        coords = tuple(map(_as_int, coords))
         if len(coords) != self.nvars:
             raise ValueError("wrong number of coordinates")
         total = 0

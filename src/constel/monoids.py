@@ -162,6 +162,22 @@ def cone_coefficients(gens, target) -> list[Fraction] | None:
     return None
 
 
+def _ray_cones(monoids, n):
+    """The ray n as an integer tuple, with (monoid, cone coefficients of n)
+    for each monoid whose rational cone contains it."""
+    n = tuple(map(_as_int, n))
+    if not any(n):
+        raise MathDomainError("ray must be nonzero")
+    cones = []
+    for m in monoids:
+        if len(n) != m.dimension:
+            raise MathDomainError(f"ray {n} has dimension {len(n)}, monoid has {m.dimension}")
+        lam = cone_coefficients(m.generators, n)
+        if lam is not None:
+            cones.append((m, lam))
+    return n, cones
+
+
 def _clearing_multiple(lam) -> int:
     return math.lcm(*(x.denominator for x in lam))
 
@@ -177,21 +193,11 @@ def min_multiple(monoids, n, cap: int = DEFAULT_MULTIPLE_CAP) -> int:
     monoids = list(monoids)
     if not monoids:
         raise ValueError("need at least one monoid")
-    n = tuple(int(x) for x in n)
-    if all(x == 0 for x in n):
-        raise MathDomainError("ray must be nonzero")
-    supported = []
-    bound = None
-    for m in monoids:
-        if len(n) != m.dimension:
-            raise ValueError("dimension mismatch")
-        lam = cone_coefficients(m.generators, n)
-        if lam is not None:
-            supported.append(m)
-            k0 = _clearing_multiple(lam)
-            bound = k0 if bound is None else min(bound, k0)
-    if not supported:
+    n, cones = _ray_cones(monoids, n)
+    if not cones:
         raise RayUnsupportedError(f"ray {n} is outside every rational cone")
+    supported = [m for m, _ in cones]
+    bound = min(_clearing_multiple(lam) for _, lam in cones)
     for k in range(1, min(bound, cap) + 1):
         kn = tuple(k * x for x in n)
         if any(m.member(kn) for m in supported):
@@ -217,14 +223,11 @@ class RayRestriction:
 
 def ray_restriction(monoids, n, bound: int) -> RayRestriction:
     """Scan k = 0..bound for membership of k*n in the monoid list."""
-    monoids = list(monoids)
-    n = tuple(int(x) for x in n)
-    if all(x == 0 for x in n):
-        raise ValueError("ray must be nonzero")
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
+    n, cones = _ray_cones(monoids, n)
+    if _as_int(bound) < 0:
+        raise MathDomainError("bound must be nonnegative")
     # only monoids whose cone contains n can contain a positive multiple
-    supported = [m for m in monoids if cone_coefficients(m.generators, n) is not None]
+    supported = [m for m, _ in cones]
     bits = [False] * (bound + 1)
     bits[0] = True
     for k in range(bound, 0, -1):  # descending: the DP cache is built once

@@ -19,9 +19,11 @@ from constel.arith import (
     radical,
     valuation,
 )
+from constel.curves import minimal_general_type_profiles
 from constel.errors import MathDomainError
-from constel.firmaments import ExponentMap, ReductionDatum
-from constel.monoids import LatticeMonoid, monoid
+from constel.firmaments import ExponentMap, Firmament, ReductionDatum, supported_constellation
+from constel.heights import Form
+from constel.monoids import LatticeMonoid, min_multiple, monoid, ray_restriction
 from constel.softpoints import P1PointQ
 
 import _oracles
@@ -224,6 +226,13 @@ class TestIntegersOnly:
             lambda: monoid(2, 3).member((2.5,)),
             lambda: ExponentMap(((1.5, 1),)),
             lambda: ReductionDatum(2, (0.5,)),
+            lambda: min_multiple([monoid((2, 0), (0, 3), (1, 1))], (1.5, 1.5)),
+            lambda: ray_restriction([monoid(2, 3)], (1.5,), 4),
+            lambda: ray_restriction([monoid(2, 3)], (1,), 2.5),
+            lambda: minimal_general_type_profiles(4, 7.5),
+            lambda: supported_constellation(Firmament(1, (monoid(2, 3),)), [(1.5,)]),
+            lambda: Form(2, (((1.9, 0), 1), ((0, 1), 1.7))),
+            lambda: Form.coordinate(0, 2).evaluate((2.5, 1)),
         ]
         for build in refused:
             with pytest.raises(MathDomainError):

@@ -248,6 +248,13 @@ class TestConfig:
         cfg.write_text("just a line\n")
         assert run(capsys, "abc-scan", "--config", str(cfg), "--max-c", "5")[0] == 2
 
+    @pytest.mark.parametrize("line", ["format=xml", "positive=maybe", "help=1", "profiles=g=0;m=2,3,7"])
+    def test_config_value_outside_flag_grammar_is_2(self, capsys, tmp_path, line):
+        # a key must name a settable option, and its value pass the option's checks
+        cfg = tmp_path / "conf.txt"
+        cfg.write_text(line + "\n")
+        assert run(capsys, "classify", "--config", str(cfg), "g=0;m=2")[0] == 2
+
     def test_config_bool_key(self, capsys, tmp_path):
         cfg = tmp_path / "conf.txt"
         cfg.write_text("positive=true\nworkers=1\n")

@@ -122,6 +122,7 @@ class TestMinimalProfiles:
 
     def test_stable_under_larger_bounds(self):
         assert minimal_general_type_profiles(5, 100) == minimal_general_type_profiles(5, 7)
+        assert minimal_general_type_profiles(10**6, 10**9) == minimal_general_type_profiles(5, 7)
 
     def test_general_type_and_weakenings_special(self):
         for mults in minimal_general_type_profiles(5, 12):
@@ -134,14 +135,15 @@ class TestMinimalProfiles:
                     weakened[i] = m - 1
                 assert not classify(P(0, weakened)).general_type, (mults, i)
 
-    def test_matches_direct_filter(self):
-        # independent enumeration: every multiset over [2, 8]^<=4, filtered
-        # by the definition directly
+    @pytest.mark.parametrize("max_marks, max_mult", [(4, 8), (6, 12)])
+    def test_matches_direct_filter(self, max_marks, max_mult):
+        # independent enumeration: every multiset over [2, max_mult] with at
+        # most max_marks marks, filtered by the definition directly
         import itertools
 
         expected = []
-        for k in range(1, 5):
-            for mults in itertools.combinations_with_replacement(range(2, 9), k):
+        for k in range(1, max_marks + 1):
+            for mults in itertools.combinations_with_replacement(range(2, max_mult + 1), k):
                 deg = constellation_degree(P(0, mults))
                 if deg <= 0:
                     continue
@@ -157,7 +159,7 @@ class TestMinimalProfiles:
                         break
                 if minimal:
                     expected.append(mults)
-        assert minimal_general_type_profiles(4, 8) == sorted(expected)
+        assert minimal_general_type_profiles(max_marks, max_mult) == sorted(expected)
 
 
 class TestIitaka:

@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from constel.errors import BoundExceededError, InfiniteGapsError, RayUnsupportedError
+from constel.errors import (
+    BoundExceededError,
+    InfiniteGapsError,
+    MathDomainError,
+    RayUnsupportedError,
+)
 from constel.monoids import (
     LatticeMonoid,
     cone_coefficients,
@@ -167,6 +172,17 @@ class TestRayRestriction:
         pair = [monoid((2, 0), (0, 1)), monoid((1, 0), (0, 2))]
         rr = ray_restriction(pair, (1, 1), 8)
         assert rr.bitmap == (True, False, True, False, True, False, True, False, True)
+
+    @pytest.mark.parametrize(
+        "scan",
+        [min_multiple, lambda ms, n: ray_restriction(ms, n, 5)],
+        ids=["min_multiple", "ray_restriction"],
+    )
+    @pytest.mark.parametrize("ray", [(1, 1), (0,)], ids=["wrong_dimension", "zero"])
+    def test_bad_rays_are_math_domain_errors(self, scan, ray):
+        # bad input, never a fault of the linear algebra underneath
+        with pytest.raises(MathDomainError):
+            scan([monoid(2, 3)], ray)
 
     def test_closure_for_single_monoid(self):
         rng = random.Random(3)
