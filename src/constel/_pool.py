@@ -1,11 +1,12 @@
-"""The fork pool shared by the parallel scans."""
+"""The fork map shared by the parallel scans: the one place that decides how
+many processes run and which items each one gets."""
 
 from __future__ import annotations
 
 import os
 
-# the callable a pool's workers run; set only inside the forked workers
-_task = None
+# (func, items, w) of the running map; set only inside the forked workers
+_job = None
 
 
 def usable_cpus() -> int:
@@ -16,32 +17,30 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def pool_size(workers: int, tasks: int) -> int:
-    """Processes worth starting for `tasks` independent pieces of work when
-    `workers` were asked for: never more than the usable CPUs."""
-    return max(1, min(workers, tasks, usable_cpus()))
+def _install(job: tuple) -> None:
+    global _job
+    _job = job
 
 
-def _install(func) -> None:
-    global _task
-    _task = func
+def _run(i: int) -> list:
+    func, items, w = _job
+    return func(items[i::w])
 
 
-def _run(args: tuple):
-    return _task(*args)
+def fork_map(func, items, workers: int) -> list:
+    """func(items[i::w]) for i < w, concatenated in that order, where
+    w = max(1, min(workers, len(items), usable_cpus())) processes run one
+    stride each.  The workers inherit func and items with the parent's
+    memory instead of having them pickled, so func may be a closure over
+    large tables; only the results travel back.  With w = 1, or where the
+    platform cannot fork, func(items) runs in this process."""
+    w = max(1, min(workers, len(items), usable_cpus()))
+    if w > 1:
+        import multiprocessing  # only parallel runs pay for the import
 
-
-def fork_starmap(func, arglists: list[tuple]) -> list:
-    """[func(*args) for args in arglists], one forked process per entry.
-    The workers inherit func with the parent's memory instead of having it
-    pickled, so it may be a closure over large tables; only the argument
-    tuples and the results travel between processes.  Where the platform
-    cannot fork, the entries run one after the other in this process."""
-    import multiprocessing  # only parallel runs pay for the import
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return [func(*args) for args in arglists]
-    with multiprocessing.get_context("fork").Pool(
-        len(arglists), initializer=_install, initargs=(func,)
-    ) as pool:
-        return pool.map(_run, arglists)
+        if "fork" in multiprocessing.get_all_start_methods():
+            with multiprocessing.get_context("fork").Pool(
+                w, initializer=_install, initargs=((func, items, w),)
+            ) as pool:
+                return [x for part in pool.map(_run, range(w)) for x in part]
+    return func(items)

@@ -25,21 +25,34 @@ MAX_SIEVE_LIMIT = 10**8
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# Miller-Rabin with the first 13 primes as bases is exact below psi_13, the
+# least strong pseudoprime to all of them; psi_12 = 318665857834031151167461
+# fools the first 12 (Sorenson & Webster, Math. Comp. 86, 2017)
+_MR_BASES = _SMALL_PRIMES + (41,)
+PRIMALITY_LIMIT = 3317044064679887385961981  # psi_13
+
 # increments of the mod-30 wheel starting at 41 (residues 11,13,17,19,23,29,1,7)
 _WHEEL = (2, 4, 2, 4, 6, 2, 6, 4)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; the fixed base set is exact below 3.3e24."""
+    """Deterministic Miller-Rabin to the bases 2..41, exact below
+    PRIMALITY_LIMIT (about 3.3e24).  A larger n that some base proves
+    composite gives False; one that passes every base is refused with
+    ResourceLimitError, since no proof of its primality is on hand."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
+    # with no prime factor up to 37, n < 41^2 is prime; this also keeps
+    # n = 41 away from its own base
+    if n < 41 * 41:
+        return True
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _SMALL_PRIMES:
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -49,6 +62,11 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= PRIMALITY_LIMIT:
+        raise ResourceLimitError(
+            f"{n} passes Miller-Rabin to the bases 2..41, which proves primality "
+            f"only below {PRIMALITY_LIMIT}"
+        )
     return True
 
 

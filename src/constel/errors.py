@@ -35,5 +35,6 @@ class BoundExceededError(ConstelError, RuntimeError):
 
 
 class ResourceLimitError(ConstelError):
-    """The run would need more memory than a documented cap allows, and is
-    refused before it starts."""
+    """The run would pass a documented cap -- on memory, on the size of an
+    exact test, or on the range where a primality test is proven -- and is
+    refused instead of run."""

@@ -248,9 +248,12 @@ def from_text(text: str) -> Firmament:
             if not (tok.startswith("(") and tok.endswith(")")):
                 raise ParseError(f"line {no}: bad generator token {tok!r}")
             try:
-                gens.append(tuple(int(p) for p in tok[1:-1].split(",")))
+                g = tuple(int(p) for p in tok[1:-1].split(","))
             except ValueError:
                 raise ParseError(f"line {no}: bad generator token {tok!r}") from None
+            if len(g) != dim:
+                raise ParseError(f"line {no}: generator {tok} has {len(g)} coordinates, header dimension {dim}")
+            gens.append(g)
         if not gens:
             raise ParseError(f"line {no}: monoid has no generators")
         monoids.append(LatticeMonoid(dim, tuple(gens)))

@@ -17,7 +17,7 @@ from functools import cached_property, partial
 from itertools import islice
 from math import gcd, isqrt
 
-from ._pool import fork_starmap, pool_size
+from ._pool import fork_map
 from .arith import MAX_SIEVE_LIMIT, ProjectivePointQ, _as_int, _rad_table, factorize, radical
 from .errors import MathDomainError, PointOnBoundaryError, ResourceLimitError, UnsupportedFieldError
 
@@ -231,8 +231,8 @@ class _RadicalIndex:
 _LOG_FULL_SCAN = 700.0
 
 
-def _pruned_triples(index: _RadicalIndex, lo: int, hi: int, log_bound):
-    """The coprime triples a + b = c, a <= b, lo <= c <= hi, that can have
+def _pruned_triples(index: _RadicalIndex, cs, log_bound):
+    """The coprime triples a + b = c, a <= b, c in cs, that can have
     rad(abc) <= B(c) = exp(log_bound(c)) * (1 + 1e-9) + 2.
 
     Yields (c, increasing a's) for each c with candidates.  A coprime pair
@@ -244,7 +244,7 @@ def _pruned_triples(index: _RadicalIndex, lo: int, hi: int, log_bound):
     called as c is reached, after the previous c's triples were consumed;
     +inf asks for every coprime a."""
     rad = index.rad
-    for c in range(lo, hi + 1):
+    for c in cs:
         rc = rad[c]
         log_b = log_bound(c)
         if log_b < _LOG_FULL_SCAN:
@@ -295,7 +295,7 @@ def scan_vojta_gap(eps_prime: float, max_c: int) -> list[GapEvent]:
         return (1 - eps_prime) * math.log(c) - best
 
     # c = 2 has only a = b = 1
-    for c, candidates in _pruned_triples(index, 3, max_c, log_bound):
+    for c, candidates in _pruned_triples(index, range(3, max_c + 1), log_bound):
         hc = (1 - eps_prime) * math.log(c)
         for a in candidates:
             g = hc - math.log(rad[a] * rad[c - a] * rad[c])
@@ -319,12 +319,12 @@ def _quality_at_least(c: int, radprod: int, threshold: Fraction) -> bool:
     return c**threshold.denominator >= radprod**threshold.numerator
 
 
-def _scan_abc_chunk(index: _RadicalIndex, lo: int, hi: int, min_quality: Fraction) -> list[AbcHit]:
-    """The hits of scan_abc with lo <= c <= hi, unsorted; index covers hi."""
+def _scan_abc_chunk(index: _RadicalIndex, min_quality: Fraction, cs) -> list[AbcHit]:
+    """The hits of scan_abc with c in cs, unsorted; index covers every c."""
     rad = index.rad
     exponent = 1.0 / float(min_quality)
     hits: list[AbcHit] = []
-    for c, candidates in _pruned_triples(index, max(lo, 2), hi, lambda c: exponent * math.log(c)):
+    for c, candidates in _pruned_triples(index, cs, lambda c: exponent * math.log(c)):
         for a in candidates:
             rp = rad[a] * rad[c - a] * rad[c]
             if _quality_at_least(c, rp, min_quality):
@@ -344,8 +344,8 @@ def scan_abc(max_c: int, min_quality: Fraction, workers: int = 1) -> list[AbcHit
     below 1/3 act as 1/3, which every coprime triple beats; a threshold
     whose reduced numerator or denominator exceeds MAX_THRESHOLD_TERM is
     refused with ResourceLimitError before anything is built.  With workers,
-    the c-range is cut into equal lengths, one per process (at most one per
-    usable CPU), and worker counts never change the output."""
+    the c values are dealt out in strides, one stride per process (see
+    _pool.fork_map), and worker counts never change the output."""
     if max_c < 2:
         raise MathDomainError("max_c must be at least 2")
     min_quality = Fraction(min_quality)
@@ -360,14 +360,7 @@ def scan_abc(max_c: int, min_quality: Fraction, workers: int = 1) -> list[AbcHit
             f"the exact test would raise c to that power"
         )
     index = _RadicalIndex(max_c)
-    w = pool_size(workers, max_c // 8)
-    if w > 1:
-        # the workers inherit the index through the fork
-        edges = [2 + (max_c - 1) * i // w for i in range(w + 1)]
-        spans = [(edges[i], edges[i + 1] - 1, min_quality) for i in range(w)]
-        parts = fork_starmap(partial(_scan_abc_chunk, index), spans)
-        hits = [h for part in parts for h in part]
-    else:
-        hits = _scan_abc_chunk(index, 2, max_c, min_quality)
+    # the workers inherit the index through the fork
+    hits = fork_map(partial(_scan_abc_chunk, index, min_quality), range(2, max_c + 1), workers)
     hits.sort(key=lambda h: (-h.quality, h.c, h.a))
     return hits

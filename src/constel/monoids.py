@@ -15,13 +15,18 @@ from itertools import combinations, product
 
 from . import _linalg
 from .arith import _as_int
-from .errors import BoundExceededError, InfiniteGapsError, MathDomainError, RayUnsupportedError
+from .errors import BoundExceededError, InfiniteGapsError, MathDomainError, RayUnsupportedError, ResourceLimitError
 
 DEFAULT_MULTIPLE_CAP = 10**6
 
+# most cells of one reach table: a byte each, so 100 MB, and about a minute
+# to fill at the measured 0.6 us a cell
+MAX_REACH_CELLS = 10**8
+
 
 class _ReachTable:
-    """Reachability bits over the box [0, bound], row-major layout."""
+    """Reachability bits over the box [0, bound], row-major layout.  A box
+    of more than MAX_REACH_CELLS cells is refused before it is allocated."""
 
     __slots__ = ("bound", "strides", "bits")
 
@@ -34,6 +39,11 @@ class _ReachTable:
             strides[i] = acc
             acc *= dims[i]
         self.strides = tuple(strides)
+        if acc > MAX_REACH_CELLS:
+            raise ResourceLimitError(
+                f"membership in the box [0, {bound}] needs a table of {acc} cells; "
+                f"the cap is {MAX_REACH_CELLS}"
+            )
         bits = bytearray(acc)
         bits[0] = 1
         gens = [
@@ -103,6 +113,8 @@ class LatticeMonoid:
         old = cache[0].bound if cache else (0,) * self.dimension
         # grow only the exceeded axes, geometrically, to amortize scans
         bound = tuple(bi if vi <= bi else max(vi, 2 * bi) for vi, bi in zip(v, old))
+        if math.prod(b + 1 for b in bound) > MAX_REACH_CELLS:
+            bound = v  # growth alone never refuses: fall back to the exact box
         table = _ReachTable(bound, self.generators)
         cache.clear()
         cache.append(table)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import partial
 from math import gcd
 
-from ._pool import fork_starmap, pool_size
+from ._pool import fork_map
 from .arith import (
     INFINITY,
     MAX_SIEVE_LIMIT,
@@ -238,13 +238,8 @@ def _soft_rows(delta: DeltaSupport3, bound: int, positive_only: bool, workers: i
         loop, outer = partial(_rows_by_c, B, in_a, rad_b, rad_a, rad_c, False, positive_only), C
     else:
         loop, outer = partial(_rows_by_a_b, B, in_c, rad_a, rad_b, rad_c, positive_only), A
-    w = pool_size(workers, len(outer))
-    if w > 1:
-        # the workers inherit the tables through the fork
-        parts = fork_starmap(loop, [(outer[i::w],) for i in range(w)])
-        rows = [row for part in parts for row in part]
-    else:
-        rows = loop(outer)
+    # the workers inherit the tables through the fork
+    rows = fork_map(loop, outer, workers)
     rows.sort()
     return rows
 

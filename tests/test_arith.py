@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from constel.arith import (
     INFINITY,
+    PRIMALITY_LIMIT,
     ProjectivePointQ,
     _as_int,
     _powerful_radicals,
@@ -20,7 +21,7 @@ from constel.arith import (
     valuation,
 )
 from constel.curves import minimal_general_type_profiles
-from constel.errors import MathDomainError
+from constel.errors import MathDomainError, ResourceLimitError
 from constel.firmaments import ExponentMap, Firmament, ReductionDatum, supported_constellation
 from constel.heights import Form
 from constel.monoids import LatticeMonoid, min_multiple, monoid, ray_restriction
@@ -198,6 +199,18 @@ def test_is_prime_matches_sympy():
         assert is_prime(n) == sympy.isprime(n)
     for n in (2**61 - 1, 2**61 + 15, 10**12 + 39):
         assert is_prime(n) == sympy.isprime(n)
+
+
+def test_is_prime_past_the_twelve_base_pseudoprime():
+    # psi_12, the least strong pseudoprime to the bases 2..37, is caught by
+    # base 41; psi_13 passes 2..41 too, and no proof covers it
+    psi12 = 318665857834031151167461
+    assert not is_prime(psi12)
+    assert factorize(psi12).factors == ((399165290221, 1), (798330580441, 1))
+    with pytest.raises(ResourceLimitError):
+        is_prime(PRIMALITY_LIMIT)
+    assert not is_prime(PRIMALITY_LIMIT + 1)  # even: trial division decides
+    assert not is_prime(PRIMALITY_LIMIT * 43)  # some base finds it composite
 
 
 class TestParseMultiplicity:

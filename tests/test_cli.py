@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from constel import arith, heights
+from constel import arith, heights, monoids
 from constel.cli import main
 
 import _oracles
@@ -147,6 +147,12 @@ class TestExitCodes:
         assert run(capsys, "enumerate", "--delta", "2,2", "--max", "10")[0] == 2
         assert run(capsys, "abc-scan", "--max-c", "10", "--min-quality", "zz")[0] == 2
 
+    @pytest.mark.parametrize("line", ["3; (1,0,0)", "2; (1,0,2)", "2; (1,0) (2)"])
+    def test_generator_of_the_wrong_length_is_2(self, capsys, tmp_path, line):
+        f = tmp_path / "firm.txt"
+        f.write_text(f"dim 2\n{line}\n")
+        assert run(capsys, "firmament", str(f), "--rays", "(1,1)")[0] == 2
+
     def test_unknown_flag_is_2(self, capsys):
         assert main(["classify", "--bogus"]) == 2
         capsys.readouterr()
@@ -195,6 +201,19 @@ class TestExitCodes:
         over = str(heights.MAX_SIEVE_LIMIT + 1)
         assert run(capsys, "abc-scan", "--max-c", over)[0] == 4
         assert run(capsys, "vojta-gap", "--eps-prime", "0.2", "--max-c", over)[0] == 4
+
+    def test_reach_table_cap_is_4(self, capsys, monkeypatch, tmp_path):
+        real = bytearray
+
+        def guarded(n):
+            if n > monoids.MAX_REACH_CELLS:
+                raise AssertionError("the reach table was allocated")
+            return real(n)
+
+        monkeypatch.setattr(monoids, "bytearray", guarded, raising=False)
+        f = tmp_path / "firm.txt"
+        f.write_text("dim 2\n2; (2,0) (0,3)\n")
+        assert run(capsys, "firmament", str(f), "--rays", "(100000,100000)")[0] == 4
 
 
     def test_tiny_quality_thresholds_run(self, capsys):

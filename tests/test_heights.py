@@ -255,7 +255,7 @@ class TestAbcScan:
         # and reached math.log
         from constel.heights import _RadicalIndex, _scan_abc_chunk
 
-        hits = _scan_abc_chunk(_RadicalIndex(4_000_000), 3_999_990, 4_000_000, Fraction(1))
+        hits = _scan_abc_chunk(_RadicalIndex(4_000_000), Fraction(1), range(3_999_990, 4_000_001))
         assert hits
         for h in hits:
             assert 3_999_990 <= h.c <= 4_000_000

@@ -9,7 +9,9 @@ from constel.errors import (
     InfiniteGapsError,
     MathDomainError,
     RayUnsupportedError,
+    ResourceLimitError,
 )
+from constel import monoids
 from constel.monoids import (
     LatticeMonoid,
     cone_coefficients,
@@ -104,6 +106,33 @@ class TestMember:
         v = tuple(sum(c * g[i] for c, g in zip(coeffs[half:], m.generators)) for i in range(dim))
         w = tuple(a + b for a, b in zip(u, v))
         assert m.member(u) and m.member(v) and m.member(w)
+
+
+class TestReachTableCap:
+    def test_refused_before_allocating(self, monkeypatch):
+        m = monoid((2, 0), (0, 3))
+        real = bytearray
+
+        def guarded(n):
+            if n > monoids.MAX_REACH_CELLS:
+                raise AssertionError("the reach table was allocated")
+            return real(n)
+
+        monkeypatch.setattr(monoids, "bytearray", guarded, raising=False)
+        for query in (lambda: m.member((100_000, 100_000)), lambda: min_multiple([m], (100_000, 100_000))):
+            with pytest.raises(ResourceLimitError):
+                query()
+        assert m.member((4, 3)) and not m.member((1, 3))
+
+    def test_growth_alone_never_refuses(self, monkeypatch):
+        monkeypatch.setattr(monoids, "MAX_REACH_CELLS", 100)
+        m = monoid(2, 3)
+        assert m.member((60,))
+        # doubling to [0, 120] would pass the cap; the exact box [0, 70] fits
+        assert m.member((70,))
+        assert not m.member((1,))
+        with pytest.raises(ResourceLimitError):
+            m.member((100,))
 
 
 class TestContains:

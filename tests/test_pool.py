@@ -36,16 +36,34 @@ def pool_sizes(monkeypatch):
         Pool = SerialPool
 
     monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: Context())
-    monkeypatch.setattr(_pool, "_task", None)
+    monkeypatch.setattr(_pool, "_job", None)
     return sizes
 
 
-def test_pool_size():
-    cpus = _pool.usable_cpus()
-    assert cpus >= 1
-    assert _pool.pool_size(100_000, 10**6) == cpus
-    assert _pool.pool_size(100_000, 1) == 1
-    assert _pool.pool_size(0, 10) == 1
+def test_pool_size(pool_sizes, monkeypatch):
+    assert _pool.usable_cpus() >= 1
+    monkeypatch.setattr(_pool, "usable_cpus", lambda: 7)
+    items = list(range(1000))
+    # clamped to the usable CPUs, then to the item count
+    assert sorted(_pool.fork_map(list, items, 100_000)) == items
+    assert sorted(_pool.fork_map(list, items[:3], 100_000)) == items[:3]
+    assert pool_sizes == [7, 3]
+    # one item, or no more than one worker asked for, runs in this process
+    assert _pool.fork_map(list, items[:1], 100_000) == items[:1]
+    for workers in (1, 0, -5):
+        assert _pool.fork_map(list, items, workers) == items
+    assert pool_sizes == [7, 3]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 7, 8, 50])
+def test_strides_cover_every_item_once(pool_sizes, monkeypatch, n):
+    monkeypatch.setattr(_pool, "usable_cpus", lambda: 7)
+    items = [f"item{i}" for i in range(n)]
+    for workers in range(1, 10):
+        got = _pool.fork_map(list, items, workers)
+        assert sorted(got) == sorted(items)
+        w = max(1, min(workers, n, 7))
+        assert got == [x for i in range(w) for x in items[i::w]]
 
 
 def test_huge_worker_counts_are_clamped(pool_sizes, monkeypatch):
@@ -81,7 +99,7 @@ def test_without_fork_the_work_runs_in_process(monkeypatch):
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     monkeypatch.setattr(multiprocessing, "get_context", no_pool)
     monkeypatch.setattr(_pool, "usable_cpus", lambda: 4)
-    assert _pool.fork_starmap(pow, [(2, 3), (3, 2)]) == [8, 9]
+    assert _pool.fork_map(list, [8, 9, 10], 4) == [8, 9, 10]
     assert scan_abc(600, Fraction(1), workers=4) == scan_abc(600, Fraction(1))
     delta = DeltaSupport3(2, 2, 2)
     assert enumerate_soft_points(delta, 2000, workers=4) == enumerate_soft_points(delta, 2000)
