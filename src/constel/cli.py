@@ -20,6 +20,7 @@ from pathlib import Path
 
 from . import curves, firmaments, heights, softpoints
 from .arith import parse_multiplicity
+from .monoids import _vector_text
 from .errors import MathDomainError, ParseError, RayUnsupportedError, ResourceLimitError
 
 
@@ -82,7 +83,7 @@ def _parse_ray(tok: str) -> tuple[int, ...]:
         raise ParseError(f"bad ray {tok!r}") from None
 
 
-def _cmd_classify(args) -> tuple[list[str], int]:
+def _cmd_classify(args):
     texts = list(args.profiles)
     if args.file:
         texts.extend(ln for ln in _read_text(args.file, "profile file").splitlines() if ln.strip())
@@ -100,19 +101,19 @@ def _cmd_classify(args) -> tuple[list[str], int]:
                 curves.arithmetic_prediction(profile).value,
             )
         )
-    return _emit(rows, ("profile", "degree", "kappa", "prediction"), args.format), 0
+    return ("profile", "degree", "kappa", "prediction"), rows, 0
 
 
-def _cmd_enumerate(args) -> tuple[list[str], int]:
+def _cmd_enumerate(args):
     delta = _parse_delta(args.delta)
     rows = [
         (a, c, c - a, True, max(abs(a), abs(c - a), c), rad)
         for c, a, rad in softpoints._soft_rows(delta, args.max, args.positive, args.workers)
     ]
-    return _emit(rows, ("a", "c", "b", "soft", "M", "rad"), args.format), 0
+    return ("a", "c", "b", "soft", "M", "rad"), rows, 0
 
 
-def _cmd_firmament(args) -> tuple[list[str], int]:
+def _cmd_firmament(args):
     firm = firmaments.from_text(_read_text(args.file, "firmament file"))
     rays = [_parse_ray(tok) for tok in args.rays.split(";") if tok.strip()]
     if not rays:
@@ -123,7 +124,7 @@ def _cmd_firmament(args) -> tuple[list[str], int]:
     rows = []
     failed = False
     for ray in rays:
-        label = "(" + ",".join(map(str, ray)) + ")"
+        label = _vector_text(ray)
         try:
             m = firmaments.multiplicity_at(firm, ray)
         except RayUnsupportedError:
@@ -131,93 +132,94 @@ def _cmd_firmament(args) -> tuple[list[str], int]:
             failed = True
         else:
             rows.append((label, m, 1 - Fraction(1, m)))
-    return _emit(rows, ("ray", "multiplicity", "delta"), args.format), (3 if failed else 0)
+    return ("ray", "multiplicity", "delta"), rows, (3 if failed else 0)
 
 
-def _cmd_abc_scan(args) -> tuple[list[str], int]:
+def _cmd_abc_scan(args):
     try:
         threshold = Fraction(args.min_quality)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad quality threshold {args.min_quality!r}") from None
     hits = heights.scan_abc(args.max_c, threshold, workers=args.workers)
     rows = [(h.a, h.b, h.c, h.rad, h.quality) for h in hits]
-    return _emit(rows, ("a", "b", "c", "rad", "quality"), args.format), 0
+    return ("a", "b", "c", "rad", "quality"), rows, 0
 
 
-def _cmd_vojta_gap(args) -> tuple[list[str], int]:
+def _cmd_vojta_gap(args):
     events = heights.scan_vojta_gap(args.eps_prime, args.max_c)
     rows = [(e.a, e.b, e.c, e.gap) for e in events]
-    return _emit(rows, ("a", "b", "c", "gap"), args.format), 0
+    return ("a", "b", "c", "gap"), rows, 0
 
 
-def _cmd_minimal_profiles(args) -> tuple[list[str], int]:
+def _cmd_minimal_profiles(args):
     profiles = curves.minimal_general_type_profiles(args.max_marks, args.max_mult)
     rows = []
     for mults in profiles:
         profile = curves.MultiplicityProfile.of(0, mults)
         rows.append((",".join(map(str, mults)), curves.constellation_degree(profile)))
-    return _emit(rows, ("multiplicities", "degree"), args.format), 0
+    return ("multiplicities", "degree"), rows, 0
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+_COMMANDS = {
+    "classify": (_cmd_classify, "classify constellation curve profiles"),
+    "enumerate": (_cmd_enumerate, "enumerate soft integral points"),
+    "firmament": (_cmd_firmament, "multiplicity table of a firmament file"),
+    "abc-scan": (_cmd_abc_scan, "quality-ordered scan of abc triples"),
+    "vojta-gap": (_cmd_vojta_gap, "running-max gap trace on the abc line"),
+    "minimal-profiles": (_cmd_minimal_profiles, "minimal general-type profiles"),
+}
+
+# Every setting, declared once: its argparse name, the subcommands that take
+# it and its keywords.  The parser is built from this table, and a config
+# key is the name without dashes, checked by the same keywords; the two
+# entries that share the key `file` take the same values.
+_SETTINGS = (
+    ("--format", _COMMANDS, {"choices": ("tsv", "jsonl"), "default": "tsv"}),
+    ("profiles", ("classify",), {"nargs": "*", "help": "profiles like g=0;m=2,3,7"}),
+    ("--file", ("classify",), {"help": "file with one profile per line"}),
+    ("--delta", ("enumerate",), {"required": True, "help": "three multiplicities, e.g. 2,2,2"}),
+    ("--max", ("enumerate",), {"type": int, "required": True, "help": "height bound"}),
+    ("--positive", ("enumerate",), {"action": "store_true", "help": "restrict to 0 < a < c"}),
+    ("file", ("firmament",), {"help": "firmament file"}),
+    ("--rays", ("firmament",), {"required": True, "help": "semicolon-separated rays, e.g. (1,0);(0,1)"}),
+    ("--eps-prime", ("vojta-gap",), {"type": float, "required": True}),
+    ("--max-c", ("abc-scan", "vojta-gap"), {"type": int, "required": True}),
+    ("--min-quality", ("abc-scan",), {"default": "1.0"}),
+    ("--workers", ("enumerate", "abc-scan"), {"type": int, "default": 1}),
+    ("--max-marks", ("minimal-profiles",), {"type": int, "default": 5}),
+    ("--max-mult", ("minimal-profiles",), {"type": int, "default": 7}),
+)
+
+
+def _build_parser(cfg: dict) -> argparse.ArgumentParser:
+    """The full parser, with the checked config values `cfg` as defaults."""
     parser = argparse.ArgumentParser(
         prog="constel",
         description="constellation curves, firmaments, soft integral points and abc instrumentation",
     )
     parser.add_argument("--config", help="key=value defaults file; flags override")
     sub = parser.add_subparsers(dest="command", required=True)
-    subparsers = {}
-
-    def add(name, func, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    commands = {}
+    for name, (func, text) in _COMMANDS.items():
+        p = commands[name] = sub.add_parser(name, help=text)
         p.add_argument("--config", help=argparse.SUPPRESS)
-        p.add_argument("--format", choices=("tsv", "jsonl"), default="tsv")
         p.set_defaults(func=func)
-        subparsers[name] = p
-        return p
-
-    p = add("classify", _cmd_classify, help="classify constellation curve profiles")
-    p.add_argument("profiles", nargs="*", help="profiles like g=0;m=2,3,7")
-    p.add_argument("--file", help="file with one profile per line")
-
-    p = add("enumerate", _cmd_enumerate, help="enumerate soft integral points")
-    p.add_argument("--delta", required=True, help="three multiplicities, e.g. 2,2,2")
-    p.add_argument("--max", type=int, required=True, help="height bound")
-    p.add_argument("--positive", action="store_true", help="restrict to 0 < a < c")
-    p.add_argument("--workers", type=int, default=1)
-
-    p = add("firmament", _cmd_firmament, help="multiplicity table of a firmament file")
-    p.add_argument("file", help="firmament file")
-    p.add_argument("--rays", required=True, help="semicolon-separated rays, e.g. (1,0);(0,1)")
-
-    p = add("abc-scan", _cmd_abc_scan, help="quality-ordered scan of abc triples")
-    p.add_argument("--max-c", type=int, required=True)
-    p.add_argument("--min-quality", default="1.0")
-    p.add_argument("--workers", type=int, default=1)
-
-    p = add("vojta-gap", _cmd_vojta_gap, help="running-max gap trace on the abc line")
-    p.add_argument("--eps-prime", type=float, required=True)
-    p.add_argument("--max-c", type=int, required=True)
-
-    p = add("minimal-profiles", _cmd_minimal_profiles, help="minimal general-type profiles")
-    p.add_argument("--max-marks", type=int, default=5)
-    p.add_argument("--max-mult", type=int, default=7)
-
-    return parser, subparsers
+    for name, takers, kwargs in _SETTINGS:
+        key = name.lstrip("-")
+        if key in cfg:  # a file value is the default and satisfies `required`
+            kwargs = {**kwargs, "default": cfg[key]}
+            if name.startswith("-"):
+                kwargs["required"] = False
+            else:
+                kwargs["nargs"] = "?"
+        for command in takers:
+            commands[command].add_argument(name, **kwargs)
+    return parser
 
 
-def _load_config(path: str) -> dict[str, str]:
-    cfg = {}
-    for no, ln in enumerate(_read_text(path, "config file").splitlines(), start=1):
-        s = ln.strip()
-        if not s or s.startswith("#"):
-            continue
-        key, sep, value = s.partition("=")
-        if not sep:
-            raise ParseError(f"config line {no}: expected key=value, got {s!r}")
-        cfg[key.strip()] = value.strip()
-    return cfg
-
+# finds --config by argparse's own rules, abbreviations included
+_CONFIG_PARSER = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+_CONFIG_PARSER.add_argument("--config")
 
 _SWITCH_VALUES = {
     **dict.fromkeys(("1", "true", "yes", "on"), True),
@@ -225,51 +227,53 @@ _SWITCH_VALUES = {
 }
 
 
-def _apply_config(cfg: dict, subparsers: dict) -> None:
-    known = set()
-    for p in subparsers.values():
-        # help is not a setting, and a list positional is not one string
-        actions = {a.dest: a for a in p._actions if a.dest != "help" and a.nargs != "*"}
-        known.update(a.replace("_", "-") for a in actions)
-        for key, raw in cfg.items():
-            dest = key.replace("-", "_")
-            action = actions.get(dest)
-            if action is None:
-                continue
-            try:
-                if isinstance(action, argparse._StoreTrueAction):
-                    value = _SWITCH_VALUES[raw.lower()]
-                else:
-                    value = raw if action.type is None else action.type(raw)
-                if action.choices is not None and value not in action.choices:
-                    raise ValueError(raw)
-            except (KeyError, ValueError):
-                raise ParseError(f"config key {key!r}: bad value {raw!r}") from None
-            p.set_defaults(**{dest: value})
-            action.required = False  # the config satisfied it
-    unknown = [k for k in cfg if k.replace("_", "-") not in known and k not in ("config",)]
+def _load_config(path: str) -> dict:
+    """The settings of a key=value file by key, each value checked and
+    converted as its flag would be."""
+    lines = {}
+    for no, ln in enumerate(_read_text(path, "config file").splitlines(), start=1):
+        s = ln.strip()
+        if not s or s.startswith("#"):
+            continue
+        key, sep, value = s.partition("=")
+        if not sep:
+            raise ParseError(f"config line {no}: expected key=value, got {s!r}")
+        lines[key.strip()] = value.strip()
+    # a list positional takes no single value, so it has no key
+    kinds = {name.lstrip("-"): kw for name, _, kw in _SETTINGS if "nargs" not in kw}
+    unknown = [k for k in lines if k.replace("_", "-") not in kinds]
     if unknown:
         raise ParseError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    cfg = {}
+    for key, raw in lines.items():
+        kw = kinds[key.replace("_", "-")]
+        try:
+            if kw.get("action") == "store_true":
+                value = _SWITCH_VALUES[raw.lower()]
+            else:
+                value = kw.get("type", str)(raw)
+            if "choices" in kw and value not in kw["choices"]:
+                raise ValueError(raw)
+        except (KeyError, ValueError):
+            raise ParseError(f"config key {key!r}: bad value {raw!r}") from None
+        cfg[key.replace("_", "-")] = value
+    return cfg
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, subparsers = _build_parser()
     try:
-        # pre-scan for --config so its values become parser defaults
-        cfg_path = None
-        for i, tok in enumerate(argv):
-            if tok == "--config" and i + 1 < len(argv):
-                cfg_path = argv[i + 1]
-            elif tok.startswith("--config="):
-                cfg_path = tok.split("=", 1)[1]
-        if cfg_path:
-            _apply_config(_load_config(cfg_path), subparsers)
+        try:
+            cfg_path = _CONFIG_PARSER.parse_known_args(argv)[0].config
+        except argparse.ArgumentError:
+            cfg_path = None  # the full parser reports it
+        parser = _build_parser(_load_config(cfg_path) if cfg_path else {})
         try:
             args = parser.parse_args(argv)
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else 2
-        lines, code = args.func(args)
+        columns, rows, code = args.func(args)
+        lines = _emit(rows, columns, args.format)
         if lines:
             sys.stdout.write("\n".join(lines) + "\n")
         return code

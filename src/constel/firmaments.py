@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import _linalg
 from .arith import _as_int, is_prime
 from .errors import MathDomainError, ParseError
-from .monoids import LatticeMonoid, min_multiple
+from .monoids import LatticeMonoid, _vector_text, min_multiple
 
 
 @dataclass(frozen=True)
@@ -214,8 +214,7 @@ def to_text(firm: Firmament) -> str:
     as `d; (g1) (g2) ...`.  Round-trips bit-exactly for canonical files."""
     lines = [f"dim {firm.dimension}"]
     for m in firm.monoids:
-        gens = " ".join("(" + ",".join(map(str, g)) + ")" for g in m.generators)
-        lines.append(f"{m.dimension}; {gens}")
+        lines.append(f"{m.dimension}; {' '.join(map(_vector_text, m.generators))}")
     return "\n".join(lines) + "\n"
 
 

@@ -24,6 +24,11 @@ DEFAULT_MULTIPLE_CAP = 10**6
 MAX_REACH_CELLS = 10**8
 
 
+def _vector_text(v) -> str:
+    """A lattice vector as it is written in files and tables: (1,0,2)."""
+    return "(" + ",".join(map(str, v)) + ")"
+
+
 class _ReachTable:
     """Reachability bits over the box [0, bound], row-major layout.  A box
     of more than MAX_REACH_CELLS cells is refused before it is allocated."""
@@ -139,8 +144,7 @@ class LatticeMonoid:
         return all(self.member(g) for g in other.generators)
 
     def __str__(self):
-        gens = " ".join("(" + ",".join(map(str, g)) + ")" for g in self.generators)
-        return f"<{gens}>"
+        return f"<{' '.join(map(_vector_text, self.generators))}>"
 
 
 def monoid(*generators, dimension: int | None = None) -> LatticeMonoid:
@@ -270,16 +274,8 @@ def gaps(m: LatticeMonoid) -> set[int]:
     gens = sorted(g[0] for g in m.generators)
     if math.gcd(*gens) != 1:
         raise InfiniteGapsError(f"generators {gens} have gcd > 1: infinite gap set")
-    gmin, gmax = gens[0], gens[-1]
-    if gmin == 1:
-        return set()
-    cap = 2 * gmax * gmax + 2 * gmax + 1  # above the Erdos-Graham Frobenius bound
-    reach = [True]
-    run = 0
-    for k in range(1, cap + 1):
-        r = any(k >= g and reach[k - g] for g in gens)
-        reach.append(r)
-        run = run + 1 if r else 0
-        if run == gmin:
-            return {j for j in range(1, k + 1) if not reach[j]}
-    raise BoundExceededError(f"no run of {gmin} members below {cap}")  # pragma: no cover
+    # every gap lies below Schur's bound (g_min - 1)(g_max - 1) on the
+    # Frobenius number (Brauer, Amer. J. Math. 64, 1942)
+    top = (gens[0] - 1) * (gens[-1] - 1)
+    bits = m._table((top,)).bits  # rank one: cell k is the integer k
+    return {k for k in range(top) if not bits[k]}

@@ -33,8 +33,6 @@ from .arith import (
 )
 from .errors import MathDomainError, PointOnBoundaryError
 
-BOUND_CHECK_TOLERANCE = 1e-9
-
 
 @dataclass(frozen=True)
 class P1PointQ:
@@ -272,34 +270,34 @@ class BoundCheck:
     holds: bool
 
 
-def campana_abc_bound_check(point: P1PointQ, delta: DeltaSupport3) -> BoundCheck:
-    """Evaluate (1/n0 + 1/n1 + 1/n_inf) * log M against log rad(a*b*c) for a
-    soft point, M = max(|a|, |b|, |c|).  For soft points the inequality is a
-    theorem, so `holds` should never be False; the comparison still carries
-    a small tolerance because both sides are floating logs."""
+def _bound_terms(point: P1PointQ, delta: DeltaSupport3) -> tuple[int, int, bool]:
+    """M = max(|a|, |b|, |c|) and rad(a*b*c) of a soft point, and whether
+    M^(L/n0 + L/n1 + L/n_inf) >= rad(a*b*c)^L, L = lcm of the multiplicities."""
     if INFINITY in delta.as_tuple():
         raise MathDomainError("bound check needs finite multiplicities")
     if not is_soft_integral_3pt(point, delta):
         raise MathDomainError(f"{point} is not soft for {delta.as_tuple()}")
     a, b, c = point.a, point.b, point.c
-    m = max(abs(a), abs(b), abs(c))
+    m, rad = max(abs(a), abs(b), abs(c)), radical(abs(a * b * c))
+    lcm = math.lcm(delta.n0, delta.n1, delta.n_inf)
+    exponent = lcm // delta.n0 + lcm // delta.n1 + lcm // delta.n_inf
+    return m, rad, m**exponent >= rad**lcm
+
+
+def campana_abc_bound_check(point: P1PointQ, delta: DeltaSupport3) -> BoundCheck:
+    """Evaluate (1/n0 + 1/n1 + 1/n_inf) * log M against log rad(a*b*c) for a
+    soft point, M = max(|a|, |b|, |c|).  For soft points the inequality is a
+    theorem, so `holds` should never be False.  The integer test of
+    campana_abc_bound_exact decides `holds`; the logs are for display."""
+    m, rad, holds = _bound_terms(point, delta)
     lhs = (
         Fraction(1, delta.n0) + Fraction(1, delta.n1) + Fraction(1, delta.n_inf)
     ) * math.log(m)
-    rhs = math.log(radical(abs(a * b * c)))
-    return BoundCheck(float(lhs), rhs, float(lhs) >= rhs - BOUND_CHECK_TOLERANCE)
+    return BoundCheck(float(lhs), math.log(rad), holds)
 
 
 def campana_abc_bound_exact(point: P1PointQ, delta: DeltaSupport3) -> bool:
     """Integer-exact form of the bound check, for audit: compares
     M^(L/n0 + L/n1 + L/n_inf) with rad(a*b*c)^L, L = lcm of the
     multiplicities."""
-    if INFINITY in delta.as_tuple():
-        raise MathDomainError("bound check needs finite multiplicities")
-    if not is_soft_integral_3pt(point, delta):
-        raise MathDomainError(f"{point} is not soft for {delta.as_tuple()}")
-    a, b, c = point.a, point.b, point.c
-    m = max(abs(a), abs(b), abs(c))
-    lcm = math.lcm(delta.n0, delta.n1, delta.n_inf)
-    exponent = lcm // delta.n0 + lcm // delta.n1 + lcm // delta.n_inf
-    return m**exponent >= radical(abs(a * b * c)) ** lcm
+    return _bound_terms(point, delta)[2]

@@ -1,9 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from constel import arith, heights, monoids
+from constel import arith, cli, heights, monoids
 from constel.cli import main
 
 import _oracles
@@ -248,6 +251,25 @@ class TestEnumerateRows:
         assert out == "\n".join(lines) + "\n"
 
 
+# one case per configurable setting: the command line without the setting,
+# the setting as flags and the same setting as config lines
+SETTING_CASES = [
+    (["minimal-profiles"], ["--format", "jsonl"], "format=jsonl"),
+    (["classify"], ["--file", "{profiles}"], "file={profiles}"),
+    (["firmament", "--rays", "(1,0);(1,1)"], ["{firm}"], "file={firm}"),
+    (["firmament", "{firm}"], ["--rays", "(1,0);(1,1)"], "rays=(1,0);(1,1)"),
+    (["enumerate", "--max", "100"], ["--delta", "2,2,2"], "delta=2,2,2"),
+    (["enumerate", "--delta", "2,2,2"], ["--max", "100"], "max=100"),
+    (["enumerate", "--delta", "2,2,2", "--max", "100"], [], "positive=0"),
+    (["enumerate", "--delta", "2,2,2", "--max", "100"], ["--positive"], "positive=1"),
+    (["vojta-gap", "--max-c", "300"], ["--eps-prime", "0.3"], "eps-prime=0.3"),
+    (["vojta-gap", "--eps-prime", "0.2"], ["--max-c", "300"], "max-c=300"),
+    (["abc-scan", "--max-c", "300"], ["--min-quality", "6/5"], "min-quality=6/5"),
+    (["abc-scan", "--max-c", "300"], ["--workers", "2"], "workers=2"),
+    (["minimal-profiles"], ["--max-marks", "4", "--max-mult", "5"], "max-marks=4\nmax-mult=5"),
+]
+
+
 class TestConfig:
     def test_config_supplies_defaults_flags_override(self, capsys, tmp_path):
         cfg = tmp_path / "conf.txt"
@@ -267,7 +289,9 @@ class TestConfig:
         cfg.write_text("just a line\n")
         assert run(capsys, "abc-scan", "--config", str(cfg), "--max-c", "5")[0] == 2
 
-    @pytest.mark.parametrize("line", ["format=xml", "positive=maybe", "help=1", "profiles=g=0;m=2,3,7"])
+    @pytest.mark.parametrize(
+        "line", ["format=xml", "positive=maybe", "help=1", "profiles=g=0;m=2,3,7", "config=other.txt"]
+    )
     def test_config_value_outside_flag_grammar_is_2(self, capsys, tmp_path, line):
         # a key must name a settable option, and its value pass the option's checks
         cfg = tmp_path / "conf.txt"
@@ -280,6 +304,43 @@ class TestConfig:
         code, out = run(capsys, "enumerate", "--config", str(cfg), "--delta", "2,2,2", "--max", "100")
         assert code == 0
         assert out == (GOLDEN / "enumerate_222_100_positive.tsv").read_text()
+
+    @pytest.mark.parametrize("base,flags,lines", SETTING_CASES, ids=[c[2] for c in SETTING_CASES])
+    def test_setting_by_config_prints_as_by_flag(self, capsys, tmp_path, base, flags, lines):
+        profiles = tmp_path / "profiles.txt"
+        profiles.write_text("g=0;m=2,3,7\ng=1;m=\n")
+        paths = {"profiles": str(profiles), "firm": str(DATA / "firm_example8.txt")}
+        base = [a.format(**paths) for a in base]
+        cfg = tmp_path / "conf.txt"
+        cfg.write_text(lines.format(**paths) + "\n")
+        by_flag = run(capsys, *base, *(a.format(**paths) for a in flags))
+        assert by_flag[0] == 0
+        assert run(capsys, *base, "--config", str(cfg)) == by_flag
+
+    def test_every_setting_has_a_case(self):
+        keys = {name.lstrip("-") for name, _, kw in cli._SETTINGS if "nargs" not in kw}
+        assert keys == {ln.partition("=")[0] for *_, lines in SETTING_CASES for ln in lines.splitlines()}
+
+    def test_abbreviated_config_flag_applies_the_file(self, capsys, tmp_path):
+        cfg = tmp_path / "conf.txt"
+        cfg.write_text("format=jsonl\n")
+        by_flag = run(capsys, "abc-scan", "--max-c", "9", "--format", "jsonl")
+        assert run(capsys, "abc-scan", "--conf", str(cfg), "--max-c", "9") == by_flag
+
+
+class TestEntryPoint:
+    @pytest.mark.parametrize("command", ["", *cli._COMMANDS])
+    def test_help_lists_every_setting(self, command):
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = [sys.executable, "-m", "constel", *([command] if command else []), "--help"]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        if command:
+            wanted = [name for name, takers, _ in cli._SETTINGS if command in takers]
+        else:
+            wanted = ["--config", *cli._COMMANDS]
+        assert [name for name in wanted if name not in proc.stdout] == []
 
 
 class TestDeterminism:

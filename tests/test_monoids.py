@@ -252,6 +252,21 @@ class TestGaps:
             bound = (max(g) if g else 1) + 20
             assert {k for k in ray_restriction([m], (1,), bound).gaps() if k} == g
 
+    def test_refused_before_allocating(self, monkeypatch):
+        real = bytearray
+
+        def guarded(n):
+            if n > monoids.MAX_REACH_CELLS:
+                raise AssertionError("the reach table was allocated")
+            return real(n)
+
+        monkeypatch.setattr(monoids, "bytearray", guarded, raising=False)
+        monkeypatch.setattr(monoids, "MAX_REACH_CELLS", 100)
+        # Schur's bound (11 - 1)(13 - 1) = 120 asks for 121 cells
+        with pytest.raises(ResourceLimitError):
+            gaps(monoid(11, 13))
+        assert gaps(monoid(3, 4)) == {1, 2, 5}
+
 
 class TestThreeDimensions:
     def test_even_coordinate_sum_monoid(self):
