@@ -11,6 +11,7 @@ import math
 import operator
 from array import array
 from dataclasses import dataclass
+from itertools import repeat
 from math import gcd, isqrt
 
 from .errors import MathDomainError, ResourceLimitError
@@ -19,8 +20,9 @@ INFINITY = math.inf  # multiplicity of a reduced boundary mark; sorts above ever
 
 DEFAULT_RHO_THRESHOLD = 10**8
 
-# longest radical sieve: it holds about 16 bytes per n at its peak (the
-# 64-bit table plus the transient factor sieve), so 1.6 GB here
+# longest radical sieve: it holds about 12 bytes per n at its peak (the
+# 64-bit table plus the transient slice of the multiples of 4 and its
+# quotients), so 1.2 GB here
 MAX_SIEVE_LIMIT = 10**8
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -211,26 +213,28 @@ def radical(n: int) -> int:
 
 
 def _rad_table(limit: int) -> array:
-    """Radicals of 0..limit via a smallest-prime-factor sieve, in a 64-bit
-    array (8 bytes an entry; every value fits, and products taken from it
-    are Python ints).  Limits above MAX_SIEVE_LIMIT are refused before
-    anything is allocated."""
+    """Radicals of 0..limit in a 64-bit array (8 bytes an entry; every
+    value fits, and products taken from it are Python ints), with rad 0
+    taken as 1.  Since rad n = n / prod p^(v_p(n) - 1), the table starts
+    as n and every p^k <= limit with k >= 2 divides its multiples by p
+    once.  Limits above MAX_SIEVE_LIMIT are refused before anything is
+    allocated.
+
+    >>> list(_rad_table(12))
+    [1, 1, 2, 3, 2, 5, 6, 7, 2, 3, 10, 11, 6]
+    """
     if limit > MAX_SIEVE_LIMIT:
         raise ResourceLimitError(
-            f"a scan up to {limit} needs about {16 * limit // 10**6} MB of radical tables; "
+            f"a scan up to {limit} needs about {12 * limit // 10**6} MB of radical tables; "
             f"the cap is {MAX_SIEVE_LIMIT}"
         )
-    spf = array("q", range(limit + 1))
-    for p in range(2, isqrt(limit) + 1):
-        if spf[p] == p:
-            for q in range(p * p, limit + 1, p):
-                if spf[q] == q:
-                    spf[q] = p
-    rad = array("q", [1]) * (limit + 1)
-    for n in range(2, limit + 1):
-        p = spf[n]
-        m = n // p
-        rad[n] = rad[m] if m % p == 0 else rad[m] * p
+    rad = array("q", range(limit + 1))
+    rad[0] = 1
+    for p in primes_up_to(isqrt(limit)):
+        q = p * p
+        while q <= limit:
+            rad[q::q] = array("q", map(operator.floordiv, rad[q::q], repeat(p)))
+            q *= p
     return rad
 
 

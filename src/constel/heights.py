@@ -10,11 +10,13 @@ exact factorizations.
 from __future__ import annotations
 
 import math
+import operator
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import islice
+from itertools import chain, compress, islice
 from math import gcd, isqrt
 
 from ._pool import fork_map
@@ -249,7 +251,8 @@ def _pruned_triples(index: _RadicalIndex, cs, log_bound):
         log_b = log_bound(c)
         if log_b < _LOG_FULL_SCAN:
             t = int(math.exp(log_b) * (1 + 1e-9) + 2) // rc
-            if not t:
+            # for c >= 3 one of a, b exceeds 1, so rad(a) rad(b) >= 2
+            if t < 2 and c > 2:
                 continue
             s = min(isqrt(t), c - 1)
         else:
@@ -360,7 +363,12 @@ def scan_abc(max_c: int, min_quality: Fraction, workers: int = 1) -> list[AbcHit
             f"the exact test would raise c to that power"
         )
     index = _RadicalIndex(max_c)
+    cs = range(2, max_c + 1)
+    if min_quality >= 1:
+        # B(c) < 2c for squarefree c >= 3, where rad c = c, so T = 1 and
+        # _pruned_triples would skip it: deal out c = 2 and the c with rad c < c
+        cs = array("q", chain([2], compress(cs, map(operator.lt, islice(index.rad, 2, None), cs))))
     # the workers inherit the index through the fork
-    hits = fork_map(partial(_scan_abc_chunk, index, min_quality), range(2, max_c + 1), workers)
+    hits = fork_map(partial(_scan_abc_chunk, index, min_quality), cs, workers)
     hits.sort(key=lambda h: (-h.quality, h.c, h.a))
     return hits

@@ -11,6 +11,7 @@ from constel.arith import (
     ProjectivePointQ,
     _as_int,
     _powerful_radicals,
+    _rad_table,
     canonicalize,
     factorize,
     is_n_powerful,
@@ -110,6 +111,27 @@ class TestRadical:
     def test_multiplicative_on_coprime(self, a, b):
         if math.gcd(a, b) == 1:
             assert radical(a * b) == radical(a) * radical(b)
+
+
+def spf_radicals(limit):
+    """rad 0..limit from the oracle's smallest-prime-factor table, rad 0 = 1."""
+    spf = _oracles.spf_table(limit)
+    return [1] + [math.prod(_oracles.factor_by_sieve(n, spf)) for n in range(1, limit + 1)]
+
+
+class TestRadTable:
+    def test_matches_spf_oracle_up_to_300(self):
+        expected = spf_radicals(300)
+        for n in range(301):
+            assert list(_rad_table(n)) == expected[: n + 1]
+
+    def test_matches_spf_oracle_at_1e5(self):
+        assert list(_rad_table(10**5)) == spf_radicals(10**5)
+
+    def test_layout(self):
+        table = _rad_table(50)
+        assert table.typecode == "q"
+        assert table[0] == 1
 
 
 class TestPowerful:

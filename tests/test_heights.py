@@ -242,13 +242,54 @@ class TestAbcScan:
         qualities = [h.quality for h in hits]
         assert qualities == sorted(qualities, reverse=True)
 
+    # q = 1/3 is left out: all 608 294 coprime pairs are hits, T >= c^2
+    # skips nothing, and test_below_one_third_admits_every_coprime_triple
+    # covers that threshold
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize(
-        "quality", [Fraction(1), Fraction(6, 5), Fraction(12262, 10000), Fraction(3, 2)]
+        "quality",
+        [
+            Fraction(1),
+            Fraction(6, 5),
+            Fraction(12262, 10000),
+            Fraction(3, 2),
+            Fraction(2, 3),
+            Fraction(1001, 1000),
+            Fraction(2),
+        ],
     )
     def test_matches_brute_oracle_at_2000(self, quality, workers):
         got = {(h.a, h.b, h.c, h.rad) for h in scan_abc(2000, quality, workers=workers)}
         assert got == _oracles.brute_abc_set(2000, quality.numerator, quality.denominator)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("max_c", [2, 3, 4, 9])
+    @pytest.mark.parametrize(
+        "quality",
+        [Fraction(1, 3), Fraction(2, 3), Fraction(1), Fraction(1001, 1000), Fraction(6, 5), Fraction(3, 2), Fraction(2)],
+    )
+    def test_matches_brute_oracle_in_tiny_windows(self, quality, max_c, workers):
+        # a c with T < 2 is never visited, nor at quality >= 1 a squarefree
+        # c > 2; (1, 1, 2) stays a hit up to q = 1
+        got = {(h.a, h.b, h.c, h.rad) for h in scan_abc(max_c, quality, workers=workers)}
+        assert got == _oracles.brute_abc_set(max_c, quality.numerator, quality.denominator)
+        assert ((1, 1, 2, 2) in got) == (quality <= 1)
+
+    @pytest.mark.parametrize("quality", [Fraction(1, 3), Fraction(9, 10), Fraction(1), Fraction(6, 5)])
+    def test_squarefree_c_are_not_dealt_out(self, quality, monkeypatch):
+        dealt = []
+        real = heights.fork_map
+
+        def recording(func, items, workers):
+            dealt.append(list(items))
+            return real(func, items, workers)
+
+        monkeypatch.setattr(heights, "fork_map", recording)
+        scan_abc(300, quality, workers=2)
+        if quality >= 1:
+            assert dealt == [[2] + [c for c in range(3, 301) if radical(c) < c]]
+        else:
+            assert dealt == [list(range(2, 301))]
 
     def test_radical_products_do_not_overflow(self):
         # radical products here pass 2^63; as int64 they wrapped negative
