@@ -140,8 +140,7 @@ def _cmd_abc_scan(args):
         threshold = Fraction(args.min_quality)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad quality threshold {args.min_quality!r}") from None
-    hits = heights.scan_abc(args.max_c, threshold, workers=args.workers)
-    rows = [(h.a, h.b, h.c, h.rad, h.quality) for h in hits]
+    rows = heights._abc_rows(args.max_c, threshold, args.workers)
     return ("a", "b", "c", "rad", "quality"), rows, 0
 
 

@@ -322,17 +322,18 @@ def _quality_at_least(c: int, radprod: int, threshold: Fraction) -> bool:
     return c**threshold.denominator >= radprod**threshold.numerator
 
 
-def _scan_abc_chunk(index: _RadicalIndex, min_quality: Fraction, cs) -> list[AbcHit]:
-    """The hits of scan_abc with c in cs, unsorted; index covers every c."""
+def _scan_abc_chunk(index: _RadicalIndex, min_quality: Fraction, cs) -> list[tuple]:
+    """The rows of _abc_rows with c in cs, unsorted; index covers every c.
+    Plain (a, b, c, rad, quality) tuples pickle back from a worker cheaply."""
     rad = index.rad
     exponent = 1.0 / float(min_quality)
-    hits: list[AbcHit] = []
+    rows: list[tuple] = []
     for c, candidates in _pruned_triples(index, cs, lambda c: exponent * math.log(c)):
         for a in candidates:
             rp = rad[a] * rad[c - a] * rad[c]
             if _quality_at_least(c, rp, min_quality):
-                hits.append(AbcHit(a, c - a, c, rp, math.log(c) / math.log(rp)))
-    return hits
+                rows.append((a, c - a, c, rp, math.log(c) / math.log(rp)))
+    return rows
 
 
 def scan_abc(max_c: int, min_quality: Fraction, workers: int = 1) -> list[AbcHit]:
@@ -349,6 +350,15 @@ def scan_abc(max_c: int, min_quality: Fraction, workers: int = 1) -> list[AbcHit
     refused with ResourceLimitError before anything is built.  With workers,
     the c values are dealt out in strides, one stride per process (see
     _pool.fork_map), and worker counts never change the output."""
+    return [AbcHit(*row) for row in _abc_rows(max_c, min_quality, workers)]
+
+
+def _abc_rows(max_c: int, min_quality: Fraction, workers: int) -> list[tuple]:
+    """scan_abc's hits as (a, b, c, rad, quality) rows, the printed columns.
+
+    >>> [r[:4] for r in _abc_rows(10, Fraction(1), 1)]
+    [(1, 8, 9, 6), (1, 1, 2, 2)]
+    """
     if max_c < 2:
         raise MathDomainError("max_c must be at least 2")
     min_quality = Fraction(min_quality)
@@ -369,6 +379,6 @@ def scan_abc(max_c: int, min_quality: Fraction, workers: int = 1) -> list[AbcHit
         # _pruned_triples would skip it: deal out c = 2 and the c with rad c < c
         cs = array("q", chain([2], compress(cs, map(operator.lt, islice(index.rad, 2, None), cs))))
     # the workers inherit the index through the fork
-    hits = fork_map(partial(_scan_abc_chunk, index, min_quality), cs, workers)
-    hits.sort(key=lambda h: (-h.quality, h.c, h.a))
-    return hits
+    rows = fork_map(partial(_scan_abc_chunk, index, min_quality), cs, workers)
+    rows.sort(key=lambda r: (-r[4], r[2], r[0]))
+    return rows

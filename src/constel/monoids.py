@@ -23,6 +23,11 @@ DEFAULT_MULTIPLE_CAP = 10**6
 # to fill at the measured 0.6 us a cell
 MAX_REACH_CELLS = 10**8
 
+# most generator subsets one cone search may try: 0.1-0.45 ms each for unit
+# generators at d = 8..15 (all 32767 at d = 15 take 14 s), up to 2 ms for
+# 8-dimensional generators with entries up to 9, so about a minute at most
+MAX_CONE_SUBSETS = 2**15
+
 
 def _vector_text(v) -> str:
     """A lattice vector as it is written in files and tables: (1,0,2)."""
@@ -164,10 +169,19 @@ def monoid(*generators, dimension: int | None = None) -> LatticeMonoid:
 def cone_coefficients(gens, target) -> list[Fraction] | None:
     """Exact nonnegative rational coefficients writing target in the cone
     spanned by gens, or None when target is outside the cone.  Searches
-    linearly independent generator subsets of size <= d (Caratheodory)."""
-    d = len(target)
-    for r in range(1, min(d, len(gens)) + 1):
-        for subset in combinations(range(len(gens)), r):
+    linearly independent generator subsets of size <= d (Caratheodory); a
+    search over more than MAX_CONE_SUBSETS subsets is refused up front."""
+    d, k = len(target), len(gens)
+    # 2^k - 1 subsets in all: only a long generator list needs the sum
+    if (1 << k) - 1 > MAX_CONE_SUBSETS:
+        subsets = sum(math.comb(k, r) for r in range(1, min(d, k) + 1))
+        if subsets > MAX_CONE_SUBSETS:
+            raise ResourceLimitError(
+                f"the cone search over {k} generators in dimension {d} would try "
+                f"{subsets} generator subsets; the cap is {MAX_CONE_SUBSETS}"
+            )
+    for r in range(1, min(d, k) + 1):
+        for subset in combinations(range(k), r):
             cols = [gens[i] for i in subset]
             lam = _linalg.solve_columns(cols, target)
             if lam is not None and all(x >= 0 for x in lam):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -184,7 +185,7 @@ class TestExitCodes:
         def broken(*args, **kwargs):
             raise ValueError("math domain error")
 
-        monkeypatch.setattr(heights, "scan_abc", broken)
+        monkeypatch.setattr(heights, "_abc_rows", broken)
         assert main(["abc-scan", "--max-c", "10"]) == 1
         assert "internal error: math domain error" in capsys.readouterr().err
 
@@ -217,6 +218,21 @@ class TestExitCodes:
         f = tmp_path / "firm.txt"
         f.write_text("dim 2\n2; (2,0) (0,3)\n")
         assert run(capsys, "firmament", str(f), "--rays", "(100000,100000)")[0] == 4
+
+    def test_cone_search_cap_is_4(self, capsys, monkeypatch, tmp_path):
+        def no_solve(*args):
+            raise AssertionError("a generator subset was solved")
+
+        monkeypatch.setattr(monoids._linalg, "solve_columns", no_solve)
+        # the 24 unit vectors: (1,...,1) needs all of them, so the search
+        # would try 2^24 - 1 subsets, hours of work
+        units = " ".join("(" + ",".join("1" if i == j else "0" for i in range(24)) + ")" for j in range(24))
+        f = tmp_path / "units.txt"
+        f.write_text(f"dim 24\n24; {units}\n")
+        start = time.perf_counter()
+        assert main(["firmament", str(f), "--rays", "(" + ",".join("1" * 24) + ")"]) == 4
+        assert time.perf_counter() - start < 1.0
+        assert "16777215 generator subsets" in capsys.readouterr().err
 
 
     def test_tiny_quality_thresholds_run(self, capsys):
@@ -350,11 +366,19 @@ class TestDeterminism:
         _, multi = run(capsys, "enumerate", "--delta", "2,2,2", "--max", "1500", "--workers", workers)
         assert single == multi
 
-    @pytest.mark.parametrize("workers", ["2", "8"])
-    def test_abc_workers(self, capsys, workers):
-        _, single = run(capsys, "abc-scan", "--max-c", "400", "--min-quality", "1.0")
+    @pytest.mark.parametrize(
+        "workers, max_c, quality",
+        [
+            pytest.param("2", "400", "1.0", id="2"),
+            pytest.param("8", "400", "1.0", id="8"),
+            # every coprime pair is a hit at 1/3: 3 429 rows cross the pool
+            pytest.param("2", "150", "1/3", id="2-one-third"),
+        ],
+    )
+    def test_abc_workers(self, capsys, workers, max_c, quality):
+        _, single = run(capsys, "abc-scan", "--max-c", max_c, "--min-quality", quality)
         _, multi = run(
-            capsys, "abc-scan", "--max-c", "400", "--min-quality", "1.0", "--workers", workers
+            capsys, "abc-scan", "--max-c", max_c, "--min-quality", quality, "--workers", workers
         )
         assert single == multi
 

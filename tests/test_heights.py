@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -242,6 +243,16 @@ class TestAbcScan:
         qualities = [h.quality for h in hits]
         assert qualities == sorted(qualities, reverse=True)
 
+    def test_float_order_is_the_exact_order(self):
+        # the scan sorts by the float quality; ln c / ln rad to 60 digits
+        # orders the hits the same way, so no near-tie is misplaced
+        hits = scan_abc(10**5, Fraction(1))
+        with localcontext() as ctx:
+            ctx.prec = 60
+            exact = sorted(hits, key=lambda h: (-(Decimal(h.c).ln() / Decimal(h.rad).ln()), h.c, h.a))
+        assert len(hits) == 420
+        assert hits == exact
+
     # q = 1/3 is left out: all 608 294 coprime pairs are hits, T >= c^2
     # skips nothing, and test_below_one_third_admits_every_coprime_triple
     # covers that threshold
@@ -298,10 +309,10 @@ class TestAbcScan:
 
         hits = _scan_abc_chunk(_RadicalIndex(4_000_000), Fraction(1), range(3_999_990, 4_000_001))
         assert hits
-        for h in hits:
-            assert 3_999_990 <= h.c <= 4_000_000
-            assert AbcTriple(h.a, h.b, h.c).radical_product == h.rad
-            assert h.c >= h.rad
+        for a, b, c, rad, _ in hits:
+            assert 3_999_990 <= c <= 4_000_000
+            assert AbcTriple(a, b, c).radical_product == rad
+            assert c >= rad
 
 
 class TestVojtaScan:

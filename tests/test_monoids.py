@@ -292,3 +292,33 @@ def test_cone_coefficients_clears_denominators():
     assert total == 1
     assert cone_coefficients(((2, 1), (1, 2)), (1, 0)) is None
     assert cone_coefficients(((2, 1), (1, 2)), (1, 1)) is not None
+
+
+class TestConeSubsetCap:
+    def test_refuses_before_the_first_solve(self, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("a generator subset was solved")
+
+        monkeypatch.setattr(monoids._linalg, "solve_columns", no_solve)
+        units = [tuple(int(i == j) for i in range(24)) for j in range(24)]
+        with pytest.raises(ResourceLimitError, match="16777215 generator subsets"):
+            cone_coefficients(units, (1,) * 24)
+        # 256 generators in the plane: 256 + C(256, 2) = 32896 subsets
+        with pytest.raises(ResourceLimitError):
+            cone_coefficients([(1, j) for j in range(256)], (1, 0))
+
+    def test_plane_generators_under_the_cap_run(self):
+        # 255 + C(255, 2) = 32640 subsets; (1, 0) is the first one tried
+        assert monoids.MAX_CONE_SUBSETS == 2**15
+        assert cone_coefficients([(1, j) for j in range(255)], (1, 0))[0] == 1
+
+    @pytest.mark.parametrize("cap, refused", [(13, True), (14, False)])
+    def test_counts_subsets_up_to_the_dimension(self, monkeypatch, cap, refused):
+        # 4 generators in dimension 3: 4 + 6 + 4 = 14 subsets, not 2^4 - 1
+        monkeypatch.setattr(monoids, "MAX_CONE_SUBSETS", cap)
+        gens = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1))
+        if refused:
+            with pytest.raises(ResourceLimitError):
+                cone_coefficients(gens, (2, 1, 1))
+        else:
+            assert cone_coefficients(gens, (2, 1, 1)) is not None
