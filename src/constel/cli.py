@@ -45,14 +45,16 @@ def _json_value(value):
     return value
 
 
+# json.dumps with separators builds a new encoder per call; this is the one
+# it would build
+_encode_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def _emit(rows, columns, fmt) -> list[str]:
     if fmt == "jsonl":
-        return [
-            json.dumps({k: _json_value(v) for k, v in zip(columns, row)}, separators=(",", ":"))
-            for row in rows
-        ]
+        return [_encode_json({k: _json_value(v) for k, v in zip(columns, row)}) for row in rows]
     lines = ["# " + "\t".join(columns)]
-    lines.extend("\t".join(_fmt(v) for v in row) for row in rows)
+    lines.extend("\t".join(map(_fmt, row)) for row in rows)
     return lines
 
 

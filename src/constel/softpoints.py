@@ -12,11 +12,13 @@ on the cross-determinant a*v - c*u against each support point (u:v).
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import chain, compress, takewhile
 from math import gcd
+from operator import itemgetter
 
 from ._pool import fork_map
 from .arith import (
@@ -172,17 +174,50 @@ def _role(m, limit: int):
     return sorted(rads), rads, rads.__getitem__
 
 
-def _rows_by_c(X, in_y, rad_x, rad_y, rad_c, x_is_a, positive_only, cs):
+def _hit_table(Y, off: int, n: int) -> bytearray:
+    """T with T[off + d] = 1 iff |d| is in the sorted Y, for -off <= d < n - off."""
+    T = bytearray(n)
+    for v in Y[: bisect_left(Y, n - off)]:
+        T[off + v] = 1
+    for v in Y[: bisect_right(Y, off)]:
+        T[off - v] = 1
+    return T
+
+
+def _pair_hits(X, in_y, table, off):
+    """(diff, add) for the sorted inner values X of a pair scan: for an
+    outer value o, diff(o) yields the x in X with |o - x| in the looked-up
+    role and add(o) those with o + x in it, both in increasing order.  With
+    the role's _hit_table at offset off, each is one gather from the table;
+    with table None, each x is an `in` test on the role's container in_y."""
+    if table is not None:
+        view = memoryview(table)  # its slices share the table
+        # the extra index keeps the gather a tuple when X has one value;
+        # compress stops at the end of X
+        get = itemgetter(*X, 0)
+        return (
+            (lambda o: compress(X, get(view[off - o :]))),
+            (lambda o: compress(X, get(view[off + o :]))),
+        )
+
+    def diff(o):
+        k = bisect_left(X, o)
+        return chain((x for x in X[:k] if o - x in in_y), (x for x in X[k:] if x - o in in_y))
+
+    return diff, (lambda o: [x for x in X if o + x in in_y])
+
+
+def _rows_by_c(X, lookup, rad_x, rad_y, rad_c, x_is_a, positive_only, cs):
     # x is |a| (or |b|) with either sign and the other of the two is
     # y = c - (+-x), looked up; as a + b = c, the orders (c, a) and (c, b)
     # are this one loop with a and b swapped
+    diff, add = _pair_hits(X, *lookup)
     out = []
     for c in cs:
-        k = bisect_left(X, c)
-        sides = [(1, [x for x in X[:k] if c - x in in_y])]
-        if not positive_only:
-            sides.append((1, [x for x in X[k:] if x - c in in_y]))
-            sides.append((-1, [x for x in X if c + x in in_y]))
+        if positive_only:
+            sides = [(1, takewhile(c.__gt__, diff(c)))]
+        else:
+            sides = [(1, diff(c)), (-1, add(c))]
         rc = rad_c(c)
         for sign, xs in sides:
             for x in xs:
@@ -192,15 +227,15 @@ def _rows_by_c(X, in_y, rad_x, rad_y, rad_c, x_is_a, positive_only, cs):
     return out
 
 
-def _rows_by_a_b(B, in_c, rad_a, rad_b, rad_c, positive_only, xs):
+def _rows_by_a_b(B, lookup, rad_a, rad_b, rad_c, positive_only, xs):
     # (a, b) = (x, y): c = x + y; (x, -y): c = x - y; (-x, y): c = y - x;
-    # in_c holds only 1..bound, so it also bounds c
+    # the looked-up role holds only 1..bound, so it also bounds c
+    diff, add = _pair_hits(B, *lookup)
     out = []
     for x in xs:
-        cands = [(x, y, x + y) for y in B if x + y in in_c]
+        cands = [(x, y, x + y) for y in add(x)]
         if not positive_only:
-            cands += [(x, y, x - y) for y in B if x - y in in_c]
-            cands += [(-x, y, y - x) for y in B if y - x in in_c]
+            cands += [(x, y, x - y) if y < x else (-x, y, y - x) for y in diff(x)]
         rx = rad_a(x)
         for a, y, c in cands:
             if gcd(x, c) == 1:
@@ -213,29 +248,38 @@ def _soft_rows(delta: DeltaSupport3, bound: int, positive_only: bool, workers: i
 
     Of the three roles -- a with |a| <= bound, b = c - a with |b| <=
     2 bound, c <= bound -- the scan runs over the two whose pairs are
-    fewest and looks the third up.  The values of a coprime pair are
-    pairwise coprime, so rad |abc| = rad |a| rad |b| rad c, each factor
-    read from its role's table: the powerful-number recursion for m >= 2,
-    and for m = 1 a radical sieve, unless the sieve would be longer than
-    the pairs visited or than MAX_SIEVE_LIMIT, in which case each hit is
-    factored."""
+    fewest and looks the third up.  The lookup is a gather from one byte
+    table over the differences and sums that can occur (see _pair_hits),
+    unless that table would be longer than the pairs visited or than
+    MAX_SIEVE_LIMIT, in which case each pair is an `in` test.  The values
+    of a coprime pair are pairwise coprime, so rad |abc| = rad |a| rad |b|
+    rad c, each factor read from its role's table: the powerful-number
+    recursion for m >= 2, and for m = 1 a radical sieve, under the same
+    length rule as the hit table, else each hit is factored."""
     if bound < 2:
         raise MathDomainError("height bound must be at least 2")
     limits = (bound, 2 * bound, bound)
     roles = [_role(m, limit) for m, limit in zip(delta.as_tuple(), limits)]
-    (A, in_a, rad_a), (B, in_b, rad_b), (C, in_c, rad_c) = roles
+    (A, _, rad_a), (B, _, rad_b), (C, _, rad_c) = roles
     pairs, order = min((len(C) * 2 * len(A), 0), (len(C) * 2 * len(B), 1), (4 * len(A) * len(B), 2))
+    cap = min(pairs, MAX_SIEVE_LIMIT)
     sieved = [limit for (_, _, rad), limit in zip(roles, limits) if rad is None]
     if sieved:
         n = max(sieved)
-        flat = _rad_table(n).__getitem__ if n <= min(pairs, MAX_SIEVE_LIMIT) else radical
+        flat = _rad_table(n).__getitem__ if n <= cap else radical
         rad_a, rad_b, rad_c = (flat if r is None else r for r in (rad_a, rad_b, rad_c))
+    # the inner values, the looked-up role and the outer values of that order
+    X, (Y, in_y, _), outer = ((A, roles[1], C), (B, roles[0], C), (B, roles[2], A))[order]
+    # x - o and o + x run from -max o to max o + max X
+    off = outer[-1]
+    n = 2 * off + X[-1] + 1
+    lookup = (in_y, _hit_table(Y, off, n) if n <= cap else None, off)
     if order == 0:
-        loop, outer = partial(_rows_by_c, A, in_b, rad_a, rad_b, rad_c, True, positive_only), C
+        loop = partial(_rows_by_c, X, lookup, rad_a, rad_b, rad_c, True, positive_only)
     elif order == 1:
-        loop, outer = partial(_rows_by_c, B, in_a, rad_b, rad_a, rad_c, False, positive_only), C
+        loop = partial(_rows_by_c, X, lookup, rad_b, rad_a, rad_c, False, positive_only)
     else:
-        loop, outer = partial(_rows_by_a_b, B, in_c, rad_a, rad_b, rad_c, positive_only), A
+        loop = partial(_rows_by_a_b, X, lookup, rad_a, rad_b, rad_c, positive_only)
     # the workers inherit the tables through the fork
     rows = fork_map(loop, outer, workers)
     rows.sort()
@@ -255,9 +299,12 @@ def enumerate_soft_points(
     Each role of the triple a + b = c draws its candidates from the
     powerful numbers of its multiplicity, up to the height bound (twice
     it for b).  The scan runs over the pair of roles with the fewest
-    pairs -- (c, a), (c, b) or (a, b) -- and tests the third by lookup, so
-    it is far smaller than the coprime grid whenever some multiplicity
-    exceeds 1.  Worker processes split the outer role of that pair; no
+    pairs -- (c, a), (c, b) or (a, b) -- so it is far smaller than the
+    coprime grid whenever some multiplicity exceeds 1.  For each value of
+    the outer role it finds the hits among all values of the inner role at
+    once, by gathering from a byte table of the third role's values, or by
+    an `in` test per pair where that table would be longer than the pairs
+    visited.  Worker processes split the outer role of that pair; no
     worker count changes the result.
     """
     return [P1PointQ(a, c) for c, a, _ in _soft_rows(delta, bound, positive_only, workers)]

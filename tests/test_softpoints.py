@@ -1,5 +1,7 @@
 import itertools
 import math
+import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -249,6 +251,61 @@ class TestSoftRows:
             got = [(p.a, p.c) for p in enumerate_soft_points(DeltaSupport3(*ms), bound)]
             assert got == _oracles.brute_soft_points(*ms, bound), ms
 
+
+    @pytest.mark.parametrize(
+        "ms, bound, order",
+        # the table path for (c, a); (c, b) and (a, b) with a powerful
+        # looked-up role only arise where the table would outgrow the pairs
+        [((2, 2, 2), 5000, "c,a"), ((2, 3, 2), 20000, "c,b"), ((3, 3, 2), 20000, "a,b")],
+    )
+    def test_powerful_lookup_per_order(self, monkeypatch, ms, bound, order):
+        delta = DeltaSupport3(*ms)
+        seen = []
+        by_c, by_a_b = softpoints._rows_by_c, softpoints._rows_by_a_b
+        monkeypatch.setattr(softpoints, "_rows_by_c", lambda *a: seen.append("c,a" if a[5] else "c,b") or by_c(*a))
+        monkeypatch.setattr(softpoints, "_rows_by_a_b", lambda *a: seen.append("a,b") or by_a_b(*a))
+        rows = softpoints._soft_rows(delta, bound, False, 1)
+        assert seen == [order]
+        assert [(a, c) for c, a, _ in rows] == _oracles.brute_soft_points(*ms, bound)
+        positive = [row for row in rows if 0 < row[1] < row[0]]
+        assert softpoints._soft_rows(delta, bound, True, 1) == positive
+        for workers in (2, 3):
+            assert softpoints._soft_rows(delta, bound, False, workers) == rows
+            assert softpoints._soft_rows(delta, bound, True, workers) == positive
+
+    def test_table_and_set_hits_agree(self):
+        rng = random.Random(12)
+        for _ in range(300):
+            Y = sorted(rng.sample(range(1, 400), rng.randint(1, 60)))
+            k = rng.randint(1, 50)
+            X = range(1, k + 1) if rng.random() < 0.2 else sorted(rng.sample(range(1, 200), k))
+            off = rng.randint(1, 200)
+            n = 2 * off + X[-1] + 1
+            table = softpoints._pair_hits(X, None, softpoints._hit_table(Y, off, n), off)
+            lookup = softpoints._pair_hits(X, set(Y), None, off)
+            for o in range(1, off + 1):
+                diff = [x for x in X if abs(o - x) in Y]
+                add = [x for x in X if o + x in Y]
+                assert list(table[0](o)) == list(lookup[0](o)) == diff
+                assert list(table[1](o)) == list(lookup[1](o)) == add
+
+    def test_hit_table_only_where_it_is_no_longer_than_the_pairs(self, monkeypatch):
+        built = []
+        hit_table = softpoints._hit_table
+        monkeypatch.setattr(softpoints, "_hit_table", lambda *a: built.append(a[2]) or hit_table(*a))
+        # the benchmark's shape: 4.0e6 pairs against a 1.5e6-byte table
+        rows = softpoints._soft_rows(D222, 500_000, False, 1)
+        assert len(rows) == 4200 and built == [1_500_001]
+        # one c against 2e4 values of a: the table would take 1e8 bytes
+        built.clear()
+        tracemalloc.start()
+        try:
+            rows = softpoints._soft_rows(DeltaSupport3(2, 2, INFINITY), 10**8, False, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert built == [] and peak < 10**7
+        assert rows == [(1, a, _oracles.sympy_radical(abs(a * (1 - a)))) for _, a, _ in rows]
 
 class TestBoundCheck:
     def test_examples(self):
