@@ -178,13 +178,10 @@ def _role(m, limit: int):
 def _hit_table(Y, off: int, n: int) -> mmap.mmap:
     """T with T[off + d] = 1 iff |d| is in the sorted Y, for -off <= d < n - off.
 
-    T is an anonymous memory map, not a bytearray: it starts zeroed and
-    goes back to the system when freed, outside malloc, whose threshold for
-    mapping large blocks a freed bytearray of this size raises.  Over the
-    enumerate --delta 2,2,2 --max 500000 runs, in tsv and with two workers,
-    and the (1,3,1) and (3,1,1) runs at 1400, the 1.5 MB table raised the
-    peak RSS of parent plus largest worker by 3.8 MB as a bytearray and by
-    1.7 MB as a map."""
+    An anonymous memory map, not a bytearray: it bypasses malloc, so
+    freeing it does not raise malloc's threshold for mapping large blocks,
+    which left later blocks resident in the parent and its forked workers
+    (1.7 MB against 3.8 MB of extra peak RSS for a 1.5 MB table)."""
     T = mmap.mmap(-1, n)
     for v in Y[: bisect_left(Y, n - off)]:
         T[off + v] = 1
