@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from . import _linalg
 from .arith import _as_int, is_prime
@@ -52,12 +53,13 @@ class ExponentMap:
         return [tuple(r[j] for r in self.entries) for j in range(self.cols)]
 
     def apply(self, v) -> tuple[int, ...]:
-        v = tuple(map(_as_int, v))
+        if type(v) is not tuple or set(map(type, v)) != {int}:
+            v = tuple(map(_as_int, v))
         if len(v) != self.cols:
             raise ValueError(f"vector {v} has wrong dimension (want {self.cols})")
-        if any(x < 0 for x in v):
+        if min(v) < 0:
             raise ValueError(f"vector {v} has a negative coordinate")
-        return tuple(sum(r[j] * v[j] for j in range(self.cols)) for r in self.entries)
+        return tuple([sum(map(mul, row, v)) for row in self.entries])
 
 
 @dataclass(frozen=True)

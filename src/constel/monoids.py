@@ -76,12 +76,6 @@ class _ReachTable:
                         break
         self.bits = bits
 
-    def covers(self, v) -> bool:
-        return all(vi <= bi for vi, bi in zip(v, self.bound))
-
-    def get(self, v) -> bool:
-        return bool(self.bits[sum(vi * si for vi, si in zip(v, self.strides))])
-
 
 @dataclass(frozen=True)
 class LatticeMonoid:
@@ -112,13 +106,14 @@ class LatticeMonoid:
         gens = sorted(set(gens))
         for g in sorted(gens, reverse=True):
             rest = [h for h in gens if h != g]
-            if rest and _ReachTable(g, rest).get(g):
+            # the corner cell of the box [0, g] is g itself
+            if rest and _ReachTable(g, rest).bits[-1]:
                 gens = rest
         object.__setattr__(self, "generators", tuple(gens))
 
     def _table(self, v) -> _ReachTable:
         cache = self._cache
-        if cache and cache[0].covers(v):
+        if cache and all(vi <= bi for vi, bi in zip(v, cache[0].bound)):
             return cache[0]
         old = cache[0].bound if cache else (0,) * self.dimension
         # grow only the exceeded axes, geometrically, to amortize scans
@@ -131,13 +126,31 @@ class LatticeMonoid:
         return table
 
     def member(self, v) -> bool:
-        """True iff v is a nonnegative integer combination of the generators."""
-        v = tuple(map(_as_int, v))
-        if len(v) != self.dimension:
-            raise ValueError(f"vector {v} has wrong dimension (want {self.dimension})")
-        if any(x < 0 for x in v):
-            raise ValueError(f"vector {v} has a negative coordinate")
-        return self._table(v).get(v)
+        """True iff v is a nonnegative integer combination of the generators.
+
+        >>> m = monoid((2, 0), (1, 1), (0, 2))
+        >>> m.member((3, 1)), m.member([2, 1])
+        (True, False)
+        """
+        cache = self._cache
+        while True:
+            # a tuple of plain ints inside the cached box: one index loop
+            if cache and type(v) is tuple and len(v) == self.dimension:
+                table = cache[0]
+                idx = 0
+                for x, b, s in zip(v, table.bound, table.strides):
+                    if type(x) is not int or not 0 <= x <= b:
+                        break
+                    idx += x * s
+                else:
+                    return table.bits[idx] == 1
+            # anything else: normalise, check and grow the table to cover v
+            v = tuple(map(_as_int, v))
+            if len(v) != self.dimension:
+                raise ValueError(f"vector {v} has wrong dimension (want {self.dimension})")
+            if any(x < 0 for x in v):
+                raise ValueError(f"vector {v} has a negative coordinate")
+            self._table(v)  # _as_int gives plain ints: the next pass answers
 
     def __contains__(self, v) -> bool:
         return self.member(v)

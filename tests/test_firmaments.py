@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from constel.firmaments import (
     supported_constellation,
     to_text,
 )
+from constel import firmaments, monoids
 from constel.monoids import monoid, ray_restriction
 
 HALF = Fraction(1, 2)
@@ -42,6 +44,40 @@ class TestExponentMap:
         f = ExponentMap(((2, 3), (0, 1)))
         assert f.apply((1, 1)) == (5, 1)
         assert f.columns() == [(2, 0), (3, 1)]
+
+    def test_apply_is_the_matrix_vector_product(self):
+        rng = random.Random(11)
+        for _ in range(50):
+            rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+            entries = [[rng.randint(0, 6) for _ in range(cols)] for _ in range(rows)]
+            for j in range(cols):
+                entries[rng.randrange(rows)][j] += 1  # no all-zero column
+            v = tuple(rng.randint(0, 30) for _ in range(cols))
+            want = tuple(sum(entries[i][j] * v[j] for j in range(cols)) for i in range(rows))
+            assert ExponentMap(tuple(map(tuple, entries))).apply(v) == want
+
+    def test_integer_like_arguments(self):
+        np = pytest.importorskip("numpy")
+        f = ExponentMap(((2, 3), (0, 1)))
+        for arg in ([1, 1], (c for c in (1, 1)), (np.int64(1), np.int32(1)), np.array([1, 1]), (True, 1)):
+            got = f.apply(arg)
+            assert got == (5, 1) and all(type(x) is int for x in got)
+
+    @pytest.mark.parametrize(
+        "arg, error, message",
+        [
+            ((1.0, 1), MathDomainError, "expected an integer, got 1.0"),
+            ((-1, 2), ValueError, "vector (-1, 2) has a negative coordinate"),
+            ([0, -2], ValueError, "vector (0, -2) has a negative coordinate"),
+            ((1, 2, 3), ValueError, "vector (1, 2, 3) has wrong dimension (want 2)"),
+            ([True], ValueError, "vector (1,) has wrong dimension (want 2)"),
+            ((), ValueError, "vector () has wrong dimension (want 2)"),
+        ],
+    )
+    def test_bad_arguments(self, arg, error, message):
+        with pytest.raises(error) as info:
+            ExponentMap(((2, 3), (0, 1))).apply(arg)
+        assert str(info.value) == message
 
 
 class TestBaseFirmament:
@@ -146,6 +182,35 @@ class TestMorphisms:
             for y in range(8):
                 assert src.monoids[0].member((x, y)) == induced_membership(f, tgt, (x, y))
         assert morphism_check(f, src, tgt)
+
+
+class TestLeanLookup:
+    def test_warm_queries_skip_normalising_and_building(self, monkeypatch):
+        # on warm tables, the firmament queries answer every in-box point of
+        # plain ints by the lean lookup: no normalising, no table build
+        src = firm(monoid((2, 0), (1, 1), (0, 2)))
+        tgt = firm(monoid((2, 0), (0, 1)), monoid((1, 0), (0, 2)))
+        f = ExponentMap(((1, 0), (0, 1)))
+        for m in src.monoids + tgt.monoids:
+            m.member((12, 12))
+        queries = [lambda: morphism_check(f, src, tgt)]
+        for p in ((x, y) for x in range(7) for y in range(7)):
+            reductions = [ReductionDatum(5, p), ReductionDatum(7, p[::-1])]
+            queries += [
+                lambda p=p: src.monoids[0].member(p),
+                lambda r=reductions: firm_integral_test(tgt, r),
+                lambda p=p: induced_membership(f, tgt, p),
+            ]
+        answers = [q() for q in queries]
+
+        def refuse(*args):
+            raise AssertionError("the lean lookup was not taken")
+
+        monkeypatch.setattr(monoids, "_ReachTable", refuse)
+        monkeypatch.setattr(monoids, "_as_int", refuse)
+        monkeypatch.setattr(firmaments, "_as_int", refuse)
+        assert [q() for q in queries] == answers
+        assert any(answers) and not all(answers)
 
 
 class TestFirmPoints:

@@ -1,3 +1,4 @@
+import enum
 import random
 
 import pytest
@@ -133,6 +134,114 @@ class TestReachTableCap:
         assert not m.member((1,))
         with pytest.raises(ResourceLimitError):
             m.member((100,))
+
+
+def _outcome(call):
+    """A call's answer, or the type and message of the error it raised."""
+    try:
+        return call()
+    except Exception as exc:  # the callers compare it, so nothing is lost
+        return type(exc), str(exc)
+
+
+def _random_monoid(rng, d):
+    gens, k = set(), rng.randint(1, 3)
+    while len(gens) < k:
+        g = tuple(rng.randint(0, 5) for _ in range(d))
+        if any(g):
+            gens.add(g)
+    return LatticeMonoid(d, tuple(gens))
+
+
+class TestWarmCold:
+    """A monoid whose table was built for one box answers every later query
+    (inside that box, on its edge or beyond it, in either order) as a fresh
+    monoid and the reachability oracle do."""
+
+    @pytest.mark.parametrize("d, side", [(1, 40), (2, 10), (3, 5)])
+    def test_answers_match_fresh_monoids_and_oracle(self, d, side):
+        rng = random.Random(1000 + d)
+        box = (side,) * d
+        for _ in range(12):
+            m = _random_monoid(rng, d)
+            near = [tuple(rng.randint(0, side) for _ in range(d)) for _ in range(8)]
+            edge = []
+            for _ in range(4):
+                p = [rng.randint(0, side) for _ in range(d)]
+                p[rng.randrange(d)] = side
+                edge.append(tuple(p))
+            far = []
+            for _ in range(6):
+                p = [rng.randint(0, side) for _ in range(d)]
+                p[rng.randrange(d)] = rng.randint(side + 1, 2 * side + 3)
+                far.append(tuple(p))
+            outer = tuple(max(p[i] for p in near + edge + far) for i in range(d))
+            reach = _oracles.bfs_reachable(m.generators, outer)
+            for order in (far + edge + near, near + edge + far):
+                warm = LatticeMonoid(d, m.generators)
+                warm.member(box)  # the table now covers exactly the box
+                for p in order:
+                    want = p in reach
+                    assert LatticeMonoid(d, m.generators).member(p) == want, (m.generators, p)
+                    assert warm.member(p) == want, (m.generators, p, warm._cache[0].bound)
+
+
+class _Coord(enum.IntEnum):
+    TWO = 2
+
+
+class TestWarmArgumentParity:
+    """Arguments that the lean lookup does not take itself are answered, or
+    refused, on a warm monoid exactly as on a cold one."""
+
+    def pair(self):
+        gens = ((2, 0), (1, 1), (0, 2))
+        warm = LatticeMonoid(2, gens)
+        warm.member((20, 20))
+        return warm, (lambda: LatticeMonoid(2, gens))
+
+    def test_integer_like_arguments(self):
+        np = pytest.importorskip("numpy")
+        warm, cold = self.pair()
+        for x, y in ((3, 1), (2, 1), (0, 0), (1, 0), (4, 6)):
+            want = cold().member((x, y))
+            for make in (
+                lambda: [x, y],
+                lambda: (c for c in (x, y)),
+                lambda: (np.int64(x), np.int32(y)),
+                lambda: np.array([x, y]),
+            ):
+                assert warm.member(make()) == cold().member(make()) == want
+        for arg in ((True, True), (True, False), (False, False), (2, True), (_Coord.TWO, 1)):
+            assert warm.member(arg) == cold().member(arg) == cold().member(tuple(map(int, arg)))
+
+    @pytest.mark.parametrize(
+        "arg, error",
+        [
+            ((3.0, 1), MathDomainError),
+            ((3, 1.5), MathDomainError),
+            (("3", 1), MathDomainError),
+            ((-1, 2), ValueError),
+            ([0, -2], ValueError),
+            ((1, 2, 3), ValueError),
+            ((1,), ValueError),
+            ((), ValueError),
+        ],
+    )
+    def test_bad_arguments_raise_the_same_error(self, arg, error):
+        warm, cold = self.pair()
+        got = _outcome(lambda: warm.member(arg))
+        assert got == _outcome(lambda: cold().member(arg))
+        assert got[0] is error
+
+    def test_past_the_cap_still_refused(self, monkeypatch):
+        monkeypatch.setattr(monoids, "MAX_REACH_CELLS", 100)
+        warm = monoid(2, 3)
+        assert warm.member((70,))
+        got = _outcome(lambda: warm.member((100,)))
+        assert got[0] is ResourceLimitError
+        assert got == _outcome(lambda: monoid(2, 3).member((100,)))
+        assert warm.member((69,)) and not warm.member((1,))
 
 
 class TestContains:
