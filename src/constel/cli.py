@@ -103,16 +103,22 @@ def _cmd_classify(args):
                 curves.arithmetic_prediction(profile).value,
             )
         )
-    return ("profile", "degree", "kappa", "prediction"), rows, 0
+    return _emit(rows, ("profile", "degree", "kappa", "prediction"), args.format), 0
 
 
 def _cmd_enumerate(args):
     delta = _parse_delta(args.delta)
-    rows = [
-        (a, c, c - a, True, max(abs(a), abs(c - a), c), rad)
-        for c, a, rad in softpoints._soft_rows(delta, args.max, args.positive, args.workers)
-    ]
-    return ("a", "c", "b", "soft", "M", "rad"), rows, 0
+    rows = softpoints._soft_rows(delta, args.max, args.positive, args.workers)
+    # one f-string a row, with the bytes _emit would give the columns
+    # a, c, b, soft, M, rad
+    if args.format == "jsonl":
+        return [
+            f'{{"a":{a},"c":{c},"b":{c - a},"soft":true,"M":{max(abs(a), abs(c - a), c)},"rad":{rad}}}'
+            for c, a, rad in rows
+        ], 0
+    lines = [f"{a}\t{c}\t{c - a}\ttrue\t{max(abs(a), abs(c - a), c)}\t{rad}" for c, a, rad in rows]
+    lines.insert(0, "# a\tc\tb\tsoft\tM\trad")
+    return lines, 0
 
 
 def _cmd_firmament(args):
@@ -134,7 +140,7 @@ def _cmd_firmament(args):
             failed = True
         else:
             rows.append((label, m, 1 - Fraction(1, m)))
-    return ("ray", "multiplicity", "delta"), rows, (3 if failed else 0)
+    return _emit(rows, ("ray", "multiplicity", "delta"), args.format), (3 if failed else 0)
 
 
 def _cmd_abc_scan(args):
@@ -143,13 +149,22 @@ def _cmd_abc_scan(args):
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad quality threshold {args.min_quality!r}") from None
     rows = heights._abc_rows(args.max_c, threshold, args.workers)
-    return ("a", "b", "c", "rad", "quality"), rows, 0
+    # one f-string a row, with the bytes _emit would give the columns
+    # a, b, c, rad, quality
+    if args.format == "jsonl":
+        return [
+            f'{{"a":{a},"b":{b},"c":{c},"rad":{rad},"quality":{round(q, 9)!r}}}'
+            for a, b, c, rad, q in rows
+        ], 0
+    lines = [f"{a}\t{b}\t{c}\t{rad}\t{q:.9f}" for a, b, c, rad, q in rows]
+    lines.insert(0, "# a\tb\tc\trad\tquality")
+    return lines, 0
 
 
 def _cmd_vojta_gap(args):
     events = heights.scan_vojta_gap(args.eps_prime, args.max_c)
     rows = [(e.a, e.b, e.c, e.gap) for e in events]
-    return ("a", "b", "c", "gap"), rows, 0
+    return _emit(rows, ("a", "b", "c", "gap"), args.format), 0
 
 
 def _cmd_minimal_profiles(args):
@@ -158,7 +173,7 @@ def _cmd_minimal_profiles(args):
     for mults in profiles:
         profile = curves.MultiplicityProfile.of(0, mults)
         rows.append((",".join(map(str, mults)), curves.constellation_degree(profile)))
-    return ("multiplicities", "degree"), rows, 0
+    return _emit(rows, ("multiplicities", "degree"), args.format), 0
 
 
 _COMMANDS = {
@@ -273,8 +288,7 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else 2
-        columns, rows, code = args.func(args)
-        lines = _emit(rows, columns, args.format)
+        lines, code = args.func(args)
         if lines:
             sys.stdout.write("\n".join(lines) + "\n")
         return code

@@ -198,8 +198,9 @@ def _pair_hits(X, in_y, table, off):
     with table None, each x is an `in` test on the role's container in_y."""
     if table is not None:
         view = memoryview(table)  # its slices share the table
-        # the extra index keeps the gather a tuple when X has one value;
-        # compress stops at the end of X
+        # the extra index keeps the gather a tuple when X has one value (X
+        # must not be empty: itemgetter(0) alone returns one byte); compress
+        # stops at the end of X
         get = itemgetter(*X, 0)
         return (
             (lambda o: compress(X, get(view[off - o :]))),
@@ -213,13 +214,32 @@ def _pair_hits(X, in_y, table, off):
     return diff, (lambda o: [x for x in X if o + x in in_y])
 
 
+# The wheel that splits each inner list: x can only be prime to an outer
+# value o if it is prime to gcd(o, WHEEL).  At --delta 2,2,2 --max 494387
+# the gathers return 12 550 hits with a wheel of 6, against 60 498 with
+# none and 9110 with a wheel of 30, which was not measurably faster.
+WHEEL = 6
+
+
+def _wheel_hits(X, lookup):
+    """_pair_hits by k = gcd(o, WHEEL) for an outer value o: those over the
+    x in X prime to k, in increasing order.  Every role holds 1, so no
+    class is empty, as _pair_hits' gather needs."""
+    return {
+        k: _pair_hits([x for x in X if gcd(x, k) == 1], *lookup)
+        for k in range(1, WHEEL + 1)
+        if WHEEL % k == 0
+    }
+
+
 def _rows_by_c(X, lookup, rad_x, rad_y, rad_c, x_is_a, positive_only, cs):
     # x is |a| (or |b|) with either sign and the other of the two is
     # y = c - (+-x), looked up; as a + b = c, the orders (c, a) and (c, b)
     # are this one loop with a and b swapped
-    diff, add = _pair_hits(X, *lookup)
+    hits = _wheel_hits(X, lookup)
     out = []
     for c in cs:
+        diff, add = hits[gcd(c, WHEEL)]
         if positive_only:
             sides = [(1, takewhile(c.__gt__, diff(c)))]
         else:
@@ -236,9 +256,10 @@ def _rows_by_c(X, lookup, rad_x, rad_y, rad_c, x_is_a, positive_only, cs):
 def _rows_by_a_b(B, lookup, rad_a, rad_b, rad_c, positive_only, xs):
     # (a, b) = (x, y): c = x + y; (x, -y): c = x - y; (-x, y): c = y - x;
     # the looked-up role holds only 1..bound, so it also bounds c
-    diff, add = _pair_hits(B, *lookup)
+    hits = _wheel_hits(B, lookup)
     out = []
     for x in xs:
+        diff, add = hits[gcd(x, WHEEL)]
         cands = [(x, y, x + y) for y in add(x)]
         if not positive_only:
             cands += [(x, y, x - y) if y < x else (-x, y, y - x) for y in diff(x)]
@@ -307,11 +328,13 @@ def enumerate_soft_points(
     it for b).  The scan runs over the pair of roles with the fewest
     pairs -- (c, a), (c, b) or (a, b) -- so it is far smaller than the
     coprime grid whenever some multiplicity exceeds 1.  For each value of
-    the outer role it finds the hits among all values of the inner role at
+    the outer role it finds the hits among the values of the inner role at
     once, by gathering from a byte table of the third role's values, or by
     an `in` test per pair where that table would be longer than the pairs
-    visited.  Worker processes split the outer role of that pair; no
-    worker count changes the result.
+    visited.  Only inner values prime to gcd(o, 6) are gathered for an
+    outer value o, so pairs sharing a factor 2 or 3 are dropped before any
+    per-pair work; a gcd test drops the rest.  Worker processes split the
+    outer role of that pair; no worker count changes the result.
     """
     return [P1PointQ(a, c) for c, a, _ in _soft_rows(delta, bound, positive_only, workers)]
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -250,20 +251,55 @@ class TestExitCodes:
         assert run(capsys, "abc-scan", "--max-c", "30", "--min-quality", "1.4142135623730951")[0] == 4
 
 
+def expected_lines(fmt, columns, rows):
+    """The lines of an output with these columns and oracle rows, built
+    by the json module or a plain join."""
+    if fmt == "jsonl":
+        return [json.dumps(dict(zip(columns, row)), separators=(",", ":")) for row in rows]
+    return ["# " + "\t".join(columns)] + ["\t".join(map(str, row)) for row in rows]
+
+
 class TestEnumerateRows:
+    # the rows include every sign pattern: a < 0 (so b > c) and a > c (b < 0)
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("fmt", ["tsv", "jsonl"])
     @pytest.mark.parametrize("delta", ["2,2,2", "1,3,1", "3,1,1"])
-    def test_radicals_without_factoring(self, capsys, monkeypatch, delta):
+    def test_radicals_without_factoring(self, capsys, monkeypatch, delta, fmt, workers):
         def no_factoring(n):
             raise AssertionError(f"factorize({n}) was called")
 
         monkeypatch.setattr(arith, "factorize", no_factoring)
-        code, out = run(capsys, "enumerate", "--delta", delta, "--max", "150")
+        code, out = run(
+            capsys, "enumerate", "--delta", delta, "--max", "150", "--format", fmt, "--workers", workers
+        )
         assert code == 0
-        lines = ["# a\tc\tb\tsoft\tM\trad"]
+        rows = []
         for a, c in _oracles.brute_soft_points(*map(int, delta.split(",")), 150):
             b = c - a
             rad = _oracles.sympy_radical(abs(a * b * c))
-            lines.append(f"{a}\t{c}\t{b}\ttrue\t{max(abs(a), abs(b), c)}\t{rad}")
+            rows.append((a, c, b, "true" if fmt == "tsv" else True, max(abs(a), abs(b), c), rad))
+        assert min(a for a, *_ in rows) < 0 < max(a - c for a, c, *_ in rows)
+        lines = expected_lines(fmt, ("a", "c", "b", "soft", "M", "rad"), rows)
+        assert out == "\n".join(lines) + "\n"
+
+
+class TestAbcRows:
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("fmt", ["tsv", "jsonl"])
+    def test_every_coprime_triple_at_one_third(self, capsys, fmt, workers):
+        # at q = 1/3 every coprime triple is a row: 6 000 and more of them
+        code, out = run(
+            capsys, "abc-scan", "--max-c", "200", "--min-quality", "1/3", "--format", fmt, "--workers", workers
+        )
+        assert code == 0
+        hits = [(a, b, c, rad, math.log(c) / math.log(rad)) for a, b, c, rad in _oracles.brute_abc_set(200, 1, 3)]
+        hits.sort(key=lambda h: (-h[4], h[2], h[0]))
+        assert len(hits) > 6000
+        if fmt == "tsv":
+            rows = [(*h[:4], f"{h[4]:.9f}") for h in hits]
+        else:
+            rows = [(*h[:4], round(h[4], 9)) for h in hits]
+        lines = expected_lines(fmt, ("a", "b", "c", "rad", "quality"), rows)
         assert out == "\n".join(lines) + "\n"
 
 

@@ -289,6 +289,67 @@ class TestSoftRows:
                 assert list(table[0](o)) == list(lookup[0](o)) == diff
                 assert list(table[1](o)) == list(lookup[1](o)) == add
 
+    def test_wheel_hits_are_the_class_prime_to_the_outer_value(self):
+        rng = random.Random(16)
+        for _ in range(200):
+            Y = sorted(rng.sample(range(1, 400), rng.randint(1, 60)))
+            in_y = set(Y)
+            k = rng.randint(1, 60)
+            # every role holds 1
+            X = range(1, k + 1) if rng.random() < 0.2 else sorted({1, *rng.sample(range(2, 200), k)})
+            off = rng.randint(1, 200)
+            n = 2 * off + X[-1] + 1
+            for lookup in ((None, softpoints._hit_table(Y, off, n), off), (in_y, None, off)):
+                hits = softpoints._wheel_hits(X, lookup)
+                assert sorted(hits) == [1, 2, 3, 6]
+                for o in range(1, off + 1):
+                    w = math.gcd(o, 6)
+                    prime = [x for x in X if math.gcd(x, w) == 1]
+                    diff, add = hits[w]
+                    assert list(diff(o)) == [x for x in prime if abs(o - x) in in_y]
+                    assert list(add(o)) == [x for x in prime if o + x in in_y]
+
+    @pytest.fixture(params=["table", "set"])
+    def hit_path(self, request, monkeypatch):
+        """Every pair scan finds its hits by the given path, whatever the
+        table and pair lengths."""
+        pair_hits = softpoints._pair_hits
+
+        def forced(X, in_y, table, off):
+            if request.param == "set":
+                table = None
+            elif table is None:
+                table = softpoints._hit_table(sorted(in_y), off, 2 * off + X[-1] + 1)
+            return pair_hits(X, in_y, table, off)
+
+        monkeypatch.setattr(softpoints, "_pair_hits", forced)
+        return request.param
+
+    @pytest.mark.parametrize(
+        "ms, bound, order",
+        [((3, 1, 1), 400, "c,a"), ((1, 3, 1), 400, "c,b"), ((2, 2, 1), 600, "a,b"), ((2, 2, 2), 3000, "c,a")],
+        ids=["3,1,1", "1,3,1", "2,2,1", "2,2,2"],
+    )
+    def test_wheel_per_order_and_hit_path(self, monkeypatch, hit_path, ms, bound, order):
+        delta = DeltaSupport3(*ms)
+        seen = []
+        by_c, by_a_b = softpoints._rows_by_c, softpoints._rows_by_a_b
+        monkeypatch.setattr(softpoints, "_rows_by_c", lambda *a: seen.append("c,a" if a[5] else "c,b") or by_c(*a))
+        monkeypatch.setattr(softpoints, "_rows_by_a_b", lambda *a: seen.append("a,b") or by_a_b(*a))
+        rows = softpoints._soft_rows(delta, bound, False, 1)
+        assert set(seen) == {order}
+        expected = _oracles.brute_soft_points(*ms, bound)
+        assert [(a, c) for c, a, _ in rows] == expected
+        # outer values in every class of the wheel give rows
+        assert {math.gcd(c if order != "a,b" else abs(a), 6) for c, a, _ in rows} == {1, 2, 3, 6}
+        for c, a, rad in rows:
+            assert rad == _oracles.sympy_radical(abs(a * (c - a) * c))
+        positive = [row for row in rows if 0 < row[1] < row[0]]
+        for workers in (1, 2, 3):
+            assert softpoints._soft_rows(delta, bound, True, workers) == positive
+            if workers > 1:
+                assert softpoints._soft_rows(delta, bound, False, workers) == rows
+
     def test_hit_table_only_where_it_is_no_longer_than_the_pairs(self, monkeypatch):
         built = []
         hit_table = softpoints._hit_table
