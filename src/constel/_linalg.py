@@ -5,14 +5,14 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def rank(vectors) -> int:
-    """Rank of a list of integer/rational vectors."""
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
+def _eliminate(rows, ncols: int) -> int:
+    """Gauss-Jordan on the first ncols columns of rows, in place: each
+    column takes the first nonzero row at or below the next pivot row.
+    Returns the number of pivots, the rank of those columns."""
     r = 0
     for col in range(ncols):
+        if r == len(rows):
+            break
         pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
         if pivot is None:
             continue
@@ -24,9 +24,13 @@ def rank(vectors) -> int:
                 f = rows[i][col]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         r += 1
-        if r == len(rows):
-            break
     return r
+
+
+def rank(vectors) -> int:
+    """Rank of a list of integer/rational vectors."""
+    rows = [[Fraction(x) for x in v] for v in vectors]
+    return _eliminate(rows, len(rows[0])) if rows else 0
 
 
 def solve_columns(columns, target) -> list[Fraction] | None:
@@ -36,24 +40,9 @@ def solve_columns(columns, target) -> list[Fraction] | None:
     and the system is consistent, else None (dependent columns are skipped
     by callers, which enumerate independent subsets)."""
     n = len(columns)
-    d = len(target)
-    aug = [[Fraction(columns[j][i]) for j in range(n)] + [Fraction(target[i])] for i in range(d)]
-    pivots = []
-    row = 0
-    for col in range(n):
-        pivot = next((i for i in range(row, d) if aug[i][col] != 0), None)
-        if pivot is None:
-            return None  # dependent columns
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for i in range(d):
-            if i != row and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[row])]
-        pivots.append(col)
-        row += 1
-    for i in range(row, d):
-        if aug[i][n] != 0:
-            return None  # inconsistent
-    return [aug[i][n] for i in range(n)]
+    aug = [[Fraction(c[i]) for c in columns] + [Fraction(t)] for i, t in enumerate(target)]
+    r = _eliminate(aug, n)
+    # n pivots put column j's pivot on row j, so row j holds lam_j
+    if r < n or any(row[n] for row in aug[r:]):
+        return None
+    return [row[n] for row in aug[:n]]

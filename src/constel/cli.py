@@ -292,15 +292,9 @@ def main(argv=None) -> int:
         if lines:
             sys.stdout.write("\n".join(lines) + "\n")
         return code
-    except ParseError as exc:
+    except (ParseError, MathDomainError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MathDomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return exc.exit_code
     except Exception as exc:  # a fault of the program, not of its input
         import traceback  # only a failing run pays for the import
 

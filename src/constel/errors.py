@@ -8,9 +8,13 @@ class ConstelError(Exception):
 class ParseError(ConstelError, ValueError):
     """Malformed textual input: profiles, firmament files, rays, config."""
 
+    exit_code = 2
+
 
 class MathDomainError(ConstelError, ValueError):
     """A mathematical precondition was violated by otherwise well-formed input."""
+
+    exit_code = 3
 
 
 class RayUnsupportedError(MathDomainError):
@@ -30,11 +34,13 @@ class UnsupportedFieldError(MathDomainError):
 
 
 class BoundExceededError(ConstelError, RuntimeError):
-    """A search hit its safety cap.  This signals a bug, not a math condition:
-    the exact cone pre-checks are supposed to make the cap unreachable."""
+    """A search passed the bound its exact pre-check proved.  This signals a
+    bug, not a math condition: no valid input can get there."""
 
 
 class ResourceLimitError(ConstelError):
     """The run would pass a documented cap -- on memory, on the size of an
     exact test, or on the range where a primality test is proven -- and is
     refused instead of run."""
+
+    exit_code = 4

@@ -9,6 +9,7 @@ monoid and grown geometrically, which makes ray scans cheap.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
@@ -16,8 +17,6 @@ from itertools import combinations, product
 from . import _linalg
 from .arith import _as_int
 from .errors import BoundExceededError, InfiniteGapsError, MathDomainError, RayUnsupportedError, ResourceLimitError
-
-DEFAULT_MULTIPLE_CAP = 10**6
 
 # most cells of one reach table: a byte each, so 100 MB, and about a minute
 # to fill at the measured 0.6 us a cell
@@ -119,7 +118,16 @@ class LatticeMonoid:
         # grow only the exceeded axes, geometrically, to amortize scans
         bound = tuple(bi if vi <= bi else max(vi, 2 * bi) for vi, bi in zip(v, old))
         if math.prod(b + 1 for b in bound) > MAX_REACH_CELLS:
-            bound = v  # growth alone never refuses: fall back to the exact box
+            # growth alone never refuses: the largest box that fits the cap at
+            # one common step t/top of the way from v (t = 0) to the grown box,
+            # so a scan up to the cap builds a few tables, not one per query
+            top, grown = max(b - x for b, x in zip(bound, v)) or 1, bound
+
+            def box(t):
+                return tuple(x + (b - x) * t // top for b, x in zip(grown, v))
+
+            fit = bisect_right(range(top + 1), MAX_REACH_CELLS, key=lambda t: math.prod(c + 1 for c in box(t)))
+            bound = box(max(fit - 1, 0))  # the steps 0..fit-1 fit the cap
         table = _ReachTable(bound, self.generators)
         cache.clear()
         cache.append(table)
@@ -221,17 +229,13 @@ def _ray_cones(monoids, n):
     return n, cones
 
 
-def _clearing_multiple(lam) -> int:
-    return math.lcm(*(x.denominator for x in lam))
-
-
-def min_multiple(monoids, n, cap: int = DEFAULT_MULTIPLE_CAP) -> int:
+def min_multiple(monoids, n) -> int:
     """Smallest k >= 1 with k*n a member of some monoid in the list.
 
-    An exact rational cone pre-check guarantees such a k exists (and bounds
-    it by a denominator-clearing multiple); rays outside every cone raise
-    RayUnsupportedError, and hitting the safety cap raises
-    BoundExceededError, which indicates a bug rather than a math condition.
+    An exact rational cone pre-check proves that such a k exists: the lcm D
+    of the cone coefficients' denominators makes D*n a member, so the scan
+    stops at D.  Rays outside every cone raise RayUnsupportedError; a scan
+    that passes D raises BoundExceededError, a bug, not a math condition.
     """
     monoids = list(monoids)
     if not monoids:
@@ -240,14 +244,12 @@ def min_multiple(monoids, n, cap: int = DEFAULT_MULTIPLE_CAP) -> int:
     if not cones:
         raise RayUnsupportedError(f"ray {n} is outside every rational cone")
     supported = [m for m, _ in cones]
-    bound = min(_clearing_multiple(lam) for _, lam in cones)
-    for k in range(1, min(bound, cap) + 1):
+    bound = min(math.lcm(*(x.denominator for x in lam)) for _, lam in cones)
+    for k in range(1, bound + 1):
         kn = tuple(k * x for x in n)
         if any(m.member(kn) for m in supported):
             return k
-    raise BoundExceededError(
-        f"no multiple of {n} found up to {min(bound, cap)}; clearing bound was {bound}"
-    )
+    raise BoundExceededError(f"no multiple of {n} found up to its clearing multiple {bound}")
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -234,6 +235,22 @@ class TestExitCodes:
         assert main(["firmament", str(f), "--rays", "(" + ",".join("1" * 24) + ")"]) == 4
         assert time.perf_counter() - start < 1.0
         assert "16777215 generator subsets" in capsys.readouterr().err
+
+    def test_multiple_is_bounded_only_by_its_proof(self, capsys, tmp_path):
+        # the clearing multiple 1000003 is the answer; no scan cap stops short of it
+        f = tmp_path / "big.txt"
+        f.write_text("dim 1\n1; (1000003)\n")
+        assert run(capsys, "firmament", str(f), "--rays", "(1)") == (
+            0,
+            "# ray\tmultiplicity\tdelta\n(1)\t1000003\t1000002/1000003\n",
+        )
+
+    def test_failed_multiple_proof_is_1(self, capsys, monkeypatch):
+        # a clearing multiple too small to be one: a fault, not a math condition
+        monkeypatch.setattr(monoids, "cone_coefficients", lambda gens, n: [Fraction(1, 2)] * len(gens))
+        assert main(["firmament", str(DATA / "firm_34.txt"), "--rays", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" in err and "internal error: no multiple of (1,)" in err
 
 
     def test_tiny_quality_thresholds_run(self, capsys):

@@ -1,5 +1,6 @@
 import enum
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -134,6 +135,24 @@ class TestReachTableCap:
         assert not m.member((1,))
         with pytest.raises(ResourceLimitError):
             m.member((100,))
+
+    def test_scan_near_the_cap_builds_few_tables(self, monkeypatch):
+        cap = 10**5
+        monkeypatch.setattr(monoids, "MAX_REACH_CELLS", cap)
+        m = monoid((1, 1), (1, 1003), (1003, 1))
+        built = []
+
+        class Counted(monoids._ReachTable):
+            def __init__(self, bound, generators):
+                super().__init__(bound, generators)
+                built.append(len(self.bits))
+
+        monkeypatch.setattr(monoids, "_ReachTable", Counted)
+        # the answer is 1002, but (2k, k) passes the cap at k = 223
+        with pytest.raises(ResourceLimitError):
+            min_multiple([m], (2, 1))
+        assert sum(built) <= 4 * cap
+        assert max(built) > cap // 2  # the last table fills most of the cap
 
 
 def _outcome(call):
@@ -271,9 +290,12 @@ class TestMinMultiple:
         with pytest.raises(RayUnsupportedError):
             min_multiple([monoid((2, 1), (1, 2))], (3, 1))
 
-    def test_cap_exceeded_signals_bug(self):
-        with pytest.raises(BoundExceededError):
-            min_multiple([monoid(5)], (1,), cap=3)
+    def test_cap_exceeded_signals_bug(self, monkeypatch):
+        # a clearing multiple of 3 claims 3*(1,) is in <5>: the scan to 3
+        # disproves it, which is a fault, not a math condition
+        monkeypatch.setattr(monoids, "cone_coefficients", lambda gens, n: [Fraction(1, 3)])
+        with pytest.raises(BoundExceededError, match="up to its clearing multiple 3"):
+            min_multiple([monoid(5)], (1,))
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
