@@ -149,14 +149,14 @@ def _cmd_abc_scan(args):
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad quality threshold {args.min_quality!r}") from None
     rows = heights._abc_rows(args.max_c, threshold, args.workers)
-    # one f-string a row, with the bytes _emit would give the columns
-    # a, b, c, rad, quality
+    # one string a row, with the bytes _emit would give the columns a, b, c,
+    # rad, quality; "%" on the row tuple beats unpacking it into an f-string
     if args.format == "jsonl":
         return [
             f'{{"a":{a},"b":{b},"c":{c},"rad":{rad},"quality":{round(q, 9)!r}}}'
             for a, b, c, rad, q in rows
         ], 0
-    lines = [f"{a}\t{b}\t{c}\t{rad}\t{q:.9f}" for a, b, c, rad, q in rows]
+    lines = ["%d\t%d\t%d\t%d\t%.9f" % r for r in rows]
     lines.insert(0, "# a\tb\tc\trad\tquality")
     return lines, 0
 

@@ -103,7 +103,7 @@ def delta_from_fibers(fibers) -> tuple[tuple[str, int], ...]:
         if not mults:
             raise ValueError(f"fiber {label!r} has no components")
         for m in mults:
-            if not isinstance(m, int) or m < 1:
+            if not isinstance(m, int) or isinstance(m, bool) or m < 1:
                 raise ValueError(f"fiber {label!r} has a bad multiplicity {m!r}")
         marks.append((str(label), min(mults)))
     return tuple(marks)

@@ -124,8 +124,6 @@ def _meets_boundary_value(value: int, m, excluded=frozenset()) -> bool:
     for p in excluded:
         while value % p == 0:
             value //= p
-    if m == INFINITY:
-        return value == 1
     return is_n_powerful(value, m)
 
 
@@ -232,41 +230,38 @@ def _wheel_hits(X, lookup):
     }
 
 
-def _rows_by_c(X, lookup, rad_x, rad_y, rad_c, x_is_a, positive_only, cs):
-    # x is |a| (or |b|) with either sign and the other of the two is
-    # y = c - (+-x), looked up; as a + b = c, the orders (c, a) and (c, b)
-    # are this one loop with a and b swapped
+# The pair scans: the outer, inner and looked-up role as indices into
+# (a, b, c), then the pairs visited per outer and inner value.
+_ORDERS = ((2, 0, 1, 2), (2, 1, 0, 2), (0, 1, 2, 4))
+
+
+def _pair_rows(roles, X, lookup, rads, positive_only, outs):
+    # for an outer value o and an inner value x the looked-up value is
+    # y = o - s x, s = 1 for |o - x| and s = -1 for o + x.  With c outer, a
+    # is s x (a inner) or y (b inner), and --positive keeps s = 1 with x < o.
+    # With a outer, (c, a) is (y, o) or (-y, -o), whichever has c > 0, and
+    # --positive keeps s = -1; c = |y| is looked up among 1..bound, so it
+    # needs no bound test.  A factor of o and x divides all three values.
+    rad_o, rad_x, rad_y = (rads[r] for r in roles)
+    by_c, a_is_x = roles[0] == 2, roles[1] == 0
     hits = _wheel_hits(X, lookup)
     out = []
-    for c in cs:
-        diff, add = hits[gcd(c, WHEEL)]
+    for o in outs:
+        diff, add = hits[gcd(o, WHEEL)]
         if positive_only:
-            sides = [(1, takewhile(c.__gt__, diff(c)))]
+            sides = [(1, takewhile(o.__gt__, diff(o)))] if by_c else [(-1, add(o))]
         else:
-            sides = [(1, diff(c)), (-1, add(c))]
-        rc = rad_c(c)
-        for sign, xs in sides:
+            sides = [(1, diff(o)), (-1, add(o))]
+        ro = rad_o(o)
+        for s, xs in sides:
             for x in xs:
-                if gcd(x, c) == 1:
-                    y = c - sign * x
-                    out.append((c, sign * x if x_is_a else y, rad_x(x) * rad_y(abs(y)) * rc))
-    return out
-
-
-def _rows_by_a_b(B, lookup, rad_a, rad_b, rad_c, positive_only, xs):
-    # (a, b) = (x, y): c = x + y; (x, -y): c = x - y; (-x, y): c = y - x;
-    # the looked-up role holds only 1..bound, so it also bounds c
-    hits = _wheel_hits(B, lookup)
-    out = []
-    for x in xs:
-        diff, add = hits[gcd(x, WHEEL)]
-        cands = [(x, y, x + y) for y in add(x)]
-        if not positive_only:
-            cands += [(x, y, x - y) if y < x else (-x, y, y - x) for y in diff(x)]
-        rx = rad_a(x)
-        for a, y, c in cands:
-            if gcd(x, c) == 1:
-                out.append((c, a, rx * rad_b(y) * rad_c(c)))
+                if gcd(x, o) == 1:
+                    y = o - s * x
+                    rad = ro * rad_x(x) * rad_y(abs(y))
+                    if by_c:
+                        out.append((o, s * x if a_is_x else y, rad))
+                    else:
+                        out.append((y, o, rad) if y > 0 else (-y, -o, rad))
     return out
 
 
@@ -275,40 +270,35 @@ def _soft_rows(delta: DeltaSupport3, bound: int, positive_only: bool, workers: i
 
     Of the three roles -- a with |a| <= bound, b = c - a with |b| <=
     2 bound, c <= bound -- the scan runs over the two whose pairs are
-    fewest and looks the third up.  The lookup is a gather from one byte
-    table over the differences and sums that can occur (see _pair_hits),
-    unless that table would be longer than the pairs visited or than
-    MAX_SIEVE_LIMIT, in which case each pair is an `in` test.  The values
-    of a coprime pair are pairwise coprime, so rad |abc| = rad |a| rad |b|
-    rad c, each factor read from its role's table: the powerful-number
-    recursion for m >= 2, and for m = 1 a radical sieve, under the same
-    length rule as the hit table, else each hit is factored."""
+    fewest (the first such order of _ORDERS) and looks the third up.  The
+    lookup is a gather from one byte table over the differences and sums
+    that can occur (see _pair_hits), unless that table would be longer
+    than the pairs visited or than MAX_SIEVE_LIMIT, in which case each
+    pair is an `in` test.  The values of a coprime pair are pairwise
+    coprime, so rad |abc| = rad |a| rad |b| rad c, each factor read from
+    its role's table: the powerful-number recursion for m >= 2, and for
+    m = 1 a radical sieve, under the same length rule as the hit table,
+    else each hit is factored."""
     if bound < 2:
         raise MathDomainError("height bound must be at least 2")
     limits = (bound, 2 * bound, bound)
     roles = [_role(m, limit) for m, limit in zip(delta.as_tuple(), limits)]
-    (A, _, rad_a), (B, _, rad_b), (C, _, rad_c) = roles
-    pairs, order = min((len(C) * 2 * len(A), 0), (len(C) * 2 * len(B), 1), (4 * len(A) * len(B), 2))
+    pairs, j = min((k * len(roles[o][0]) * len(roles[i][0]), j) for j, (o, i, _, k) in enumerate(_ORDERS))
+    order = _ORDERS[j][:3]
     cap = min(pairs, MAX_SIEVE_LIMIT)
-    sieved = [limit for (_, _, rad), limit in zip(roles, limits) if rad is None]
+    rads = [rad for _, _, rad in roles]
+    sieved = [limit for rad, limit in zip(rads, limits) if rad is None]
     if sieved:
         n = max(sieved)
         flat = _rad_table(n).__getitem__ if n <= cap else radical
-        rad_a, rad_b, rad_c = (flat if r is None else r for r in (rad_a, rad_b, rad_c))
-    # the inner values, the looked-up role and the outer values of that order
-    X, (Y, in_y, _), outer = ((A, roles[1], C), (B, roles[0], C), (B, roles[2], A))[order]
+        rads = [flat if r is None else r for r in rads]
+    outs, X, (Y, in_y, _) = roles[order[0]][0], roles[order[1]][0], roles[order[2]]
     # x - o and o + x run from -max o to max o + max X
-    off = outer[-1]
+    off = outs[-1]
     span = 2 * off + X[-1] + 1
     lookup = (in_y, _hit_table(Y, off, span) if span <= cap else None, off)
-    if order == 0:
-        loop = partial(_rows_by_c, X, lookup, rad_a, rad_b, rad_c, True, positive_only)
-    elif order == 1:
-        loop = partial(_rows_by_c, X, lookup, rad_b, rad_a, rad_c, False, positive_only)
-    else:
-        loop = partial(_rows_by_a_b, X, lookup, rad_a, rad_b, rad_c, positive_only)
     # the workers inherit the tables through the fork
-    rows = fork_map(loop, outer, workers)
+    rows = fork_map(partial(_pair_rows, order, X, lookup, rads, positive_only), outs, workers)
     rows.sort()
     return rows
 

@@ -100,6 +100,8 @@ class TestDeltaFromFibers:
             delta_from_fibers([("0", [])])
         with pytest.raises(ValueError):
             delta_from_fibers([("0", [0, 2])])
+        with pytest.raises(ValueError):
+            delta_from_fibers([("0", [True])])
 
 
 class TestMinimalProfiles:

@@ -34,6 +34,11 @@ def small_bound(ms):
     return 25 if ms.count(1) >= 2 else 90
 
 
+def order_label(roles):
+    """The outer and inner role of a _pair_rows call, as "c,a", "c,b" or "a,b"."""
+    return ",".join("abc"[r] for r in roles[:2])
+
+
 def std_support(m=2):
     return GeneralDeltaQ(((P1PointQ(0, 1), m), (P1PointQ(1, 1), m), (P1PointQ(1, 0), m)))
 
@@ -235,15 +240,27 @@ class TestSoftRows:
 
             return wrapped
 
-        order_by_c = spy("_rows_by_c", softpoints._rows_by_c, lambda args: "c,a" if args[5] else "c,b")
-        monkeypatch.setattr(softpoints, "_rows_by_c", order_by_c)
-        monkeypatch.setattr(softpoints, "_rows_by_a_b", spy("a,b", softpoints._rows_by_a_b))
+        pair_rows = spy("_pair_rows", softpoints._pair_rows, lambda args: order_label(args[0]))
+        monkeypatch.setattr(softpoints, "_pair_rows", pair_rows)
         for name in ("radical", "_rad_table"):
             monkeypatch.setattr(softpoints, name, spy(name, getattr(softpoints, name)))
         for ms in ALL_DELTAS:
             softpoints._soft_rows(DeltaSupport3(*ms), small_bound(ms), False, 1)
         # radical is the fallback for a sieve longer than the pairs visited
         assert seen == {"c,a", "c,b", "a,b", "radical", "_rad_table"}
+
+    @pytest.mark.parametrize("entry", softpoints._ORDERS, ids=order_label)
+    def test_forced_order_matches_brute_oracle(self, monkeypatch, entry):
+        # each order alone, also for the deltas where another has fewer pairs
+        monkeypatch.setattr(softpoints, "_ORDERS", (entry,))
+        for ms in ALL_DELTAS:
+            bound = small_bound(ms)
+            rows = softpoints._soft_rows(DeltaSupport3(*ms), bound, False, 1)
+            assert [(a, c) for c, a, _ in rows] == _oracles.brute_soft_points(*ms, bound), ms
+            for c, a, rad in rows:
+                assert rad == _oracles.sympy_radical(abs(a * (c - a) * c)), (ms, a, c)
+            positive = softpoints._soft_rows(DeltaSupport3(*ms), bound, True, 1)
+            assert positive == [row for row in rows if 0 < row[1] < row[0]], ms
 
     def test_larger_bound_per_order(self):
         # one delta per loop order, each against the brute oracle
@@ -261,9 +278,8 @@ class TestSoftRows:
     def test_powerful_lookup_per_order(self, monkeypatch, ms, bound, order):
         delta = DeltaSupport3(*ms)
         seen = []
-        by_c, by_a_b = softpoints._rows_by_c, softpoints._rows_by_a_b
-        monkeypatch.setattr(softpoints, "_rows_by_c", lambda *a: seen.append("c,a" if a[5] else "c,b") or by_c(*a))
-        monkeypatch.setattr(softpoints, "_rows_by_a_b", lambda *a: seen.append("a,b") or by_a_b(*a))
+        pair_rows = softpoints._pair_rows
+        monkeypatch.setattr(softpoints, "_pair_rows", lambda *a: seen.append(order_label(a[0])) or pair_rows(*a))
         rows = softpoints._soft_rows(delta, bound, False, 1)
         assert seen == [order]
         assert [(a, c) for c, a, _ in rows] == _oracles.brute_soft_points(*ms, bound)
@@ -333,9 +349,8 @@ class TestSoftRows:
     def test_wheel_per_order_and_hit_path(self, monkeypatch, hit_path, ms, bound, order):
         delta = DeltaSupport3(*ms)
         seen = []
-        by_c, by_a_b = softpoints._rows_by_c, softpoints._rows_by_a_b
-        monkeypatch.setattr(softpoints, "_rows_by_c", lambda *a: seen.append("c,a" if a[5] else "c,b") or by_c(*a))
-        monkeypatch.setattr(softpoints, "_rows_by_a_b", lambda *a: seen.append("a,b") or by_a_b(*a))
+        pair_rows = softpoints._pair_rows
+        monkeypatch.setattr(softpoints, "_pair_rows", lambda *a: seen.append(order_label(a[0])) or pair_rows(*a))
         rows = softpoints._soft_rows(delta, bound, False, 1)
         assert set(seen) == {order}
         expected = _oracles.brute_soft_points(*ms, bound)
