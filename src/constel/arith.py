@@ -320,6 +320,7 @@ def canonicalize(coords) -> ProjectivePointQ:
 def powerful_numbers(m, limit: int) -> list[int]:
     """Sorted list of the m-powerful integers in [1, limit]."""
     check_multiplicity(m)
+    limit = _as_int(limit)
     if m == 1:
         return list(range(1, limit + 1))
     return sorted(_powerful_radicals(m, limit))

@@ -24,20 +24,12 @@ from .monoids import _vector_text
 from .errors import MathDomainError, ParseError, RayUnsupportedError, ResourceLimitError
 
 
+# _emit's cells are str, int, Fraction and float, never bool
 def _fmt(value) -> str:
-    # plain ints first, by exact type: they fill nearly every cell
-    if type(value) is int:
-        return str(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return f"{value:.9f}"
-    return str(value)
+    return f"{value:.9f}" if isinstance(value, float) else str(value)
 
 
 def _json_value(value):
-    if type(value) is int:
-        return value
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, float):

@@ -90,18 +90,10 @@ class Firmament:
 
 
 def _maximal(ms: tuple[LatticeMonoid, ...]) -> tuple[LatticeMonoid, ...]:
-    kept = []
-    for i, m in enumerate(ms):
-        drop = False
-        for j, other in enumerate(ms):
-            if i == j:
-                continue
-            if other.contains(m) and (not m.contains(other) or j < i):
-                drop = True
-                break
-        if not drop:
-            kept.append(m)
-    return tuple(kept)
+    # equal monoids compare equal (minimal generators, sorted): keep the
+    # first of each, then drop those inside another
+    ms = tuple(dict.fromkeys(ms))
+    return tuple(m for m in ms if not any(other.contains(m) for other in ms if other is not m))
 
 
 def base_firmament(maps) -> Firmament:
@@ -191,6 +183,7 @@ class ReductionDatum:
     stratum_point: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "prime", _as_int(self.prime))
         object.__setattr__(self, "stratum_point", tuple(map(_as_int, self.stratum_point)))
         if not is_prime(self.prime):
             raise ValueError(f"{self.prime} is not prime")

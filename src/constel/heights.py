@@ -190,7 +190,7 @@ def vojta_gap(point: ProjectivePointQ, eps_prime: float) -> float:
     with D the coordinate-axes divisor and no excluded finite primes.
     Points with a zero coordinate sit on D and are rejected."""
     if not 0 < eps_prime < 1:
-        raise ValueError("eps_prime must lie in (0, 1)")
+        raise MathDomainError("eps_prime must lie in (0, 1)")
     coords = point.coords
     if len(coords) != 3:
         raise MathDomainError("expected a point of the projective plane")
@@ -228,11 +228,6 @@ class _RadicalIndex:
         return bisect_right(self.keys, s)
 
 
-# log cutoffs from here up scan every a: exp would overflow, and the cutoff
-# passes c^3 > rad(abc) for every c a table can hold
-_LOG_FULL_SCAN = 700.0
-
-
 def _pruned_triples(index: _RadicalIndex, cs, log_bound):
     """The coprime triples a + b = c, a <= b, c in cs, that can have
     rad(abc) <= B(c) = exp(log_bound(c)) * (1 + 1e-9) + 2.
@@ -243,21 +238,15 @@ def _pruned_triples(index: _RadicalIndex, cs, log_bound):
     sqrt(T) (Browkin & Brzezinski, Math. Comp. 62, 1994): only the x < c
     with rad(x) <= sqrt(T) are visited, as a = min(x, c - x).  The floats
     only size B; the test on rad(a) rad(b) is exact.  log_bound(c) is
-    called as c is reached, after the previous c's triples were consumed;
-    +inf asks for every coprime a."""
+    called as c is reached, after the previous c's triples were consumed."""
     rad = index.rad
     for c in cs:
         rc = rad[c]
-        log_b = log_bound(c)
-        if log_b < _LOG_FULL_SCAN:
-            t = int(math.exp(log_b) * (1 + 1e-9) + 2) // rc
-            # for c >= 3 one of a, b exceeds 1, so rad(a) rad(b) >= 2
-            if t < 2 and c > 2:
-                continue
-            s = min(isqrt(t), c - 1)
-        else:
-            t, s = math.inf, c - 1
-        k = index.count_upto(s)
+        t = int(math.exp(log_bound(c)) * (1 + 1e-9) + 2) // rc
+        # for c >= 3 one of a, b exceeds 1, so rad(a) rad(b) >= 2
+        if t < 2 and c > 2:
+            continue
+        k = index.count_upto(min(isqrt(t), c - 1))
         xs = {
             x if 2 * x <= c else c - x
             for x in islice(index.order, k)
@@ -287,12 +276,15 @@ def scan_vojta_gap(eps_prime: float, max_c: int) -> list[GapEvent]:
     full quadratic scan."""
     if not 0 < eps_prime < 1:
         raise MathDomainError("eps_prime must lie in (0, 1)")
+    max_c = _as_int(max_c)
     if max_c < 2:
         raise MathDomainError("max_c must be at least 2")
     index = _RadicalIndex(max_c)
     rad = index.rad
     events: list[GapEvent] = []
-    best = -math.inf
+    # every gap is above this: rad(abc) <= abc < c^3 <= max_c^3, so the
+    # first candidate is an event and every log bound is finite
+    best = -3 * math.log(max_c)
 
     def log_bound(c: int) -> float:
         return (1 - eps_prime) * math.log(c) - best
@@ -359,6 +351,7 @@ def _abc_rows(max_c: int, min_quality: Fraction, workers: int) -> list[tuple]:
     >>> [r[:4] for r in _abc_rows(10, Fraction(1), 1)]
     [(1, 8, 9, 6), (1, 1, 2, 2)]
     """
+    max_c = _as_int(max_c)
     if max_c < 2:
         raise MathDomainError("max_c must be at least 2")
     min_quality = Fraction(min_quality)

@@ -17,7 +17,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import chain, compress, takewhile
+from itertools import compress, takewhile
 from math import gcd
 from operator import itemgetter
 
@@ -32,6 +32,7 @@ from .arith import (
     check_multiplicity,
     factorize,
     is_n_powerful,
+    is_prime,
     radical,
 )
 from .errors import MathDomainError, PointOnBoundaryError
@@ -96,7 +97,10 @@ class GeneralDeltaQ:
     primes: frozenset[int] = frozenset()
 
     def __post_init__(self):
-        object.__setattr__(self, "primes", frozenset(self.primes))
+        object.__setattr__(self, "primes", frozenset(map(_as_int, self.primes)))
+        for p in self.primes:
+            if not is_prime(p):
+                raise ValueError(f"{p} in S is not prime")
         sup = tuple(self.support)
         object.__setattr__(self, "support", sup)
         for _, m in sup:
@@ -204,12 +208,9 @@ def _pair_hits(X, in_y, table, off):
             (lambda o: compress(X, get(view[off - o :]))),
             (lambda o: compress(X, get(view[off + o :]))),
         )
-
-    def diff(o):
-        k = bisect_left(X, o)
-        return chain((x for x in X[:k] if o - x in in_y), (x for x in X[k:] if x - o in in_y))
-
-    return diff, (lambda o: [x for x in X if o + x in in_y])
+    # x = o gives 0, which no role holds; diff stays lazy, as a gather is,
+    # so that --positive stops it at x = o
+    return (lambda o: (x for x in X if abs(o - x) in in_y)), (lambda o: [x for x in X if o + x in in_y])
 
 
 # The wheel that splits each inner list: x can only be prime to an outer
@@ -279,6 +280,7 @@ def _soft_rows(delta: DeltaSupport3, bound: int, positive_only: bool, workers: i
     its role's table: the powerful-number recursion for m >= 2, and for
     m = 1 a radical sieve, under the same length rule as the hit table,
     else each hit is factored."""
+    bound = _as_int(bound)
     if bound < 2:
         raise MathDomainError("height bound must be at least 2")
     limits = (bound, 2 * bound, bound)

@@ -162,6 +162,12 @@ class TestPowerful:
         assert powerful_numbers(1, 7) == [1, 2, 3, 4, 5, 6, 7]
         assert powerful_numbers(INFINITY, 10**6) == [1]
 
+    @pytest.mark.parametrize("m", [1, 2, INFINITY])
+    @pytest.mark.parametrize("limit", [50.5, 50.0])
+    def test_powerful_numbers_refuse_a_float_limit(self, m, limit):
+        with pytest.raises(MathDomainError):
+            powerful_numbers(m, limit)
+
     def test_radicals_come_with_the_numbers(self):
         for m in (2, 3, 4):
             rads = _powerful_radicals(m, 5000)

@@ -411,6 +411,36 @@ class TestEntryPoint:
             wanted = ["--config", *cli._COMMANDS]
         assert [name for name in wanted if name not in proc.stdout] == []
 
+    def test_runtime_needs_only_the_standard_library(self):
+        # the modules are compared with a record taken before the import,
+        # since `site` can load non-standard ones such as _distutils_hack
+        script = f"""
+import contextlib, io, sys
+before = set(sys.modules)
+import constel
+from constel import cli
+runs = [
+    ["classify", "g=0;m=2,3,7"],
+    ["enumerate", "--delta", "2,2,2", "--max", "1000", "--workers", "2"],
+    ["firmament", {str(DATA / "firm_example8.txt")!r}, "--rays", "(1,0);(0,1);(1,1)"],
+    ["abc-scan", "--max-c", "200"],
+    ["vojta-gap", "--eps-prime", "0.2", "--max-c", "200"],
+    ["minimal-profiles", "--max-marks", "4"],
+]
+for argv in runs:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+# multiprocessing files __main__ again as __mp_main__
+main = sys.modules["__main__"]
+added = {{name.partition(".")[0] for name, m in sys.modules.items() if name not in before and m is not main}}
+print(" ".join(sorted(n for n in added if n not in sys.stdlib_module_names and n != "constel")))
+"""
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == []
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("workers", ["2", "3"])

@@ -105,6 +105,41 @@ class TestBaseFirmament:
         fm2 = firm(monoid(1), monoid(1, 2))
         assert len(fm2.monoids) == 1
 
+    def test_irredundancy_matches_the_containment_rule(self):
+        def by_contains(ms):
+            # m_i goes iff some m_j contains it and either m_i does not
+            # contain m_j or j < i
+            return tuple(
+                m
+                for i, m in enumerate(ms)
+                if not any(o.contains(m) and (not m.contains(o) or j < i) for j, o in enumerate(ms) if j != i)
+            )
+
+        rng = random.Random(20)
+        seeds = {1: [monoid(1), monoid(1, 2), monoid(2, 3), monoid(3, 5)], 2: [monoid((1, 0), (0, 1))]}
+        for trial in range(240):
+            dim = 1 + trial % 2
+            ms = []
+            for _ in range(rng.randint(2, 5)):
+                roll = rng.random()
+                if ms and roll < 0.25:
+                    ms.append(rng.choice(ms))  # a repeat
+                elif ms and roll < 0.5:
+                    # the same monoid with a redundant generator, reordered
+                    gens = list(rng.choice(ms).generators)
+                    gens.append(tuple(map(sum, zip(*rng.sample(gens, min(2, len(gens)))))))
+                    rng.shuffle(gens)
+                    ms.append(monoids.LatticeMonoid(dim, tuple(gens)))
+                elif roll < 0.7:
+                    ms.append(rng.choice(seeds[dim]))
+                else:
+                    gens = [tuple(rng.randint(0, 4) for _ in range(dim)) for _ in range(rng.randint(1, 3))]
+                    ms.append(monoids.LatticeMonoid(dim, tuple(g for g in gens if any(g)) or ((1,) * dim,)))
+            rng.shuffle(ms)
+            kept, want = Firmament(dim, tuple(ms)).monoids, by_contains(ms)
+            assert kept == want
+            assert all(k is w for k, w in zip(kept, want))  # the first of equal monoids
+
     def test_partial_flag(self):
         assert firm(monoid((1, 1))).partial
         assert not firm(monoid((1, 0), (0, 1))).partial
@@ -230,6 +265,10 @@ class TestFirmPoints:
             ReductionDatum(6, (1, 0))
         with pytest.raises(ValueError):
             ReductionDatum(5, (-1, 0))
+        # a float prime is refused, not kept; 1 and 0 are not prime
+        for bad in (3.0, 1, 0):
+            with pytest.raises(ValueError):
+                ReductionDatum(bad, (1, 2))
 
 
 class TestFaceRestriction:

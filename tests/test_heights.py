@@ -177,6 +177,11 @@ class TestVojtaGap:
         with pytest.raises(MathDomainError):
             vojta_gap(canonicalize((1, 2, 3)), 0.2)
 
+    @pytest.mark.parametrize("eps_prime", [0, 1, -0.5, 1.5])
+    def test_eps_prime_outside_the_interval(self, eps_prime):
+        with pytest.raises(MathDomainError):
+            vojta_gap(canonicalize((1, 8, -9)), eps_prime)
+
     def test_translation_identity_signs(self):
         # h <= (1+eps) N1 iff (1-eps') h <= N1 with 1-eps' = 1/(1+eps)
         for eps in (0.1, 0.25, 0.5, 1.0):
@@ -316,11 +321,18 @@ class TestAbcScan:
 
 
 class TestVojtaScan:
-    @pytest.mark.parametrize("eps_prime", [0.05, 0.2, 0.5])
-    def test_matches_brute_trace(self, eps_prime):
-        events = scan_vojta_gap(eps_prime, 1500)
+    @pytest.mark.parametrize(
+        "eps_prime, max_c",
+        [
+            pytest.param(e, n, id=str(e) if n == 1500 and e in (0.05, 0.2, 0.5) else f"{e}-{n}")
+            for e in (0.001, 0.05, 0.2, 0.5, 0.999)
+            for n in (3, 4, 5, 1500)
+        ],
+    )
+    def test_matches_brute_trace(self, eps_prime, max_c):
+        events = scan_vojta_gap(eps_prime, max_c)
         got = [(e.a, e.b, e.c, e.gap) for e in events]
-        assert got == _oracles.brute_vojta_trace(eps_prime, 1500)
+        assert got == _oracles.brute_vojta_trace(eps_prime, max_c)
 
     def test_window_of_1e5(self):
         last = scan_vojta_gap(0.2, 10**5)[-1]
@@ -346,6 +358,21 @@ class TestQualityThresholds:
         for q in (Fraction("1.4142135623730951"), Fraction(cap + 1, cap), Fraction(cap, cap + 1)):
             with pytest.raises(ResourceLimitError):
                 scan_abc(30, q)
+
+
+@pytest.mark.parametrize(
+    "scan",
+    [
+        lambda: scan_abc(1000.0, Fraction(1)),
+        lambda: scan_abc(1000.5, Fraction(1)),
+        lambda: scan_vojta_gap(0.2, 1000.0),
+        lambda: scan_vojta_gap(0.2, 1000.5),
+    ],
+    ids=["abc-1000.0", "abc-1000.5", "vojta-1000.0", "vojta-1000.5"],
+)
+def test_scans_refuse_a_float_window(scan):
+    with pytest.raises(MathDomainError):
+        scan()
 
 
 def test_sieve_cap_refuses_before_allocating(monkeypatch):

@@ -145,6 +145,13 @@ class TestSoftGeneral:
         with pytest.raises(ValueError):
             GeneralDeltaQ(((P1PointQ(1, 2), 1),))
 
+    @pytest.mark.parametrize("bad", [1, 0, 4, -2, 2.0, True], ids=repr)
+    def test_s_holds_only_primes(self, bad):
+        # S = {1} used to hang the soft test, {0} to divide by zero, and
+        # {4} to strip 4 as if it were a prime
+        with pytest.raises(ValueError):
+            GeneralDeltaQ(((P1PointQ(1, 2), 2),), primes=frozenset({bad}))
+
 
 class TestSoftWeighted:
     def test_examples(self):
@@ -213,6 +220,12 @@ class TestEnumeration:
     def test_rejects_tiny_bound(self):
         with pytest.raises(ValueError):
             enumerate_soft_points(D222, 1)
+
+    @pytest.mark.parametrize("ms", [(2, 2, 2), (1, 2, 2)])
+    @pytest.mark.parametrize("bound", [100.0, 100.5])
+    def test_refuses_a_float_bound(self, ms, bound):
+        with pytest.raises(MathDomainError):
+            enumerate_soft_points(DeltaSupport3(*ms), bound)
 
     def test_worker_counts_agree(self):
         single = enumerate_soft_points(D222, 2000)
