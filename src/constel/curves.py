@@ -31,7 +31,8 @@ class MultiplicityProfile:
     marks: tuple[tuple[str, int | float], ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.genus, int) or self.genus < 0:
+        object.__setattr__(self, "genus", _as_int(self.genus))
+        if self.genus < 0:
             raise ValueError(f"genus must be a nonnegative integer, got {self.genus!r}")
         marks = tuple((str(lbl), check_multiplicity(m)) for lbl, m in self.marks)
         object.__setattr__(self, "marks", marks)

@@ -74,6 +74,7 @@ class Firmament:
     partial: bool = field(init=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "dimension", _as_int(self.dimension))
         ms = tuple(self.monoids)
         if not ms:
             raise ValueError("firmament needs at least one monoid")
@@ -154,7 +155,7 @@ def face_restriction(firm: Firmament, axes) -> Firmament:
     use face-supported generators; restriction is therefore exact generator
     filtering.  A face meeting every monoid only at the origin has no
     monoid to show and raises MathDomainError."""
-    axes = tuple(axes)
+    axes = tuple(map(_as_int, axes))
     if not axes or len(set(axes)) != len(axes):
         raise ValueError("axes must be nonempty and distinct")
     if any(not 0 <= i < firm.dimension for i in axes):

@@ -40,6 +40,7 @@ class Form:
     terms: tuple[tuple[tuple[int, ...], int], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "nvars", _as_int(self.nvars))
         merged: dict[tuple[int, ...], int] = {}
         for exps, coeff in self.terms:
             e = tuple(map(_as_int, exps))
@@ -65,6 +66,7 @@ class Form:
 
     @classmethod
     def coordinate(cls, index: int, nvars: int) -> "Form":
+        index, nvars = _as_int(index), _as_int(nvars)
         exps = tuple(1 if i == index else 0 for i in range(nvars))
         return cls(nvars, ((exps, 1),))
 

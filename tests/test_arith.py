@@ -21,9 +21,17 @@ from constel.arith import (
     radical,
     valuation,
 )
-from constel.curves import minimal_general_type_profiles
+from constel.curves import MultiplicityProfile, minimal_general_type_profiles, parse_profile, profile_text
 from constel.errors import MathDomainError, ResourceLimitError
-from constel.firmaments import ExponentMap, Firmament, ReductionDatum, supported_constellation
+from constel.firmaments import (
+    ExponentMap,
+    Firmament,
+    ReductionDatum,
+    face_restriction,
+    from_text,
+    supported_constellation,
+    to_text,
+)
 from constel.heights import Form
 from constel.monoids import LatticeMonoid, min_multiple, monoid, ray_restriction
 from constel.softpoints import P1PointQ
@@ -281,3 +289,27 @@ class TestIntegersOnly:
         assert canonicalize((2, 4)).coords == (1, 2)
         assert (P1PointQ(4, 6).a, P1PointQ(4, 6).c) == (2, 3)
         assert monoid(2, 3).member((5,))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda n: Firmament(n, (monoid(2, 3),)),
+            lambda n: MultiplicityProfile(n),
+            lambda n: LatticeMonoid(n, ((2,), (3,))),
+            lambda n: Form(n, (((1,), 1),)),
+            lambda n: Form.coordinate(0, n),
+            lambda n: face_restriction(Firmament(2, (monoid((1, 0), (0, 1)),)), (n,)),
+        ],
+        ids=["Firmament", "MultiplicityProfile", "LatticeMonoid", "Form", "Form.coordinate", "face_restriction"],
+    )
+    def test_integer_fields_are_stored_as_ints(self, build):
+        # a bool is kept as its int, as _as_int documents; a float is refused
+        assert repr(build(True)) == repr(build(1))
+        with pytest.raises(MathDomainError):
+            build(1.0)
+
+    def test_bool_fields_round_trip_through_text(self):
+        firm = Firmament(True, (monoid(2, 3),))
+        assert to_text(firm).startswith("dim 1\n") and from_text(to_text(firm)) == firm
+        profile = MultiplicityProfile(True)
+        assert profile_text(profile) == "g=1;m=" and parse_profile(profile_text(profile)) == profile

@@ -1,5 +1,6 @@
 import enum
 import random
+from itertools import product
 from fractions import Fraction
 
 import pytest
@@ -153,6 +154,27 @@ class TestReachTableCap:
             min_multiple([m], (2, 1))
         assert sum(built) <= 4 * cap
         assert max(built) > cap // 2  # the last table fills most of the cap
+
+
+class TestReachTableSweep:
+    # the fill sweeps each generator in turn over the box: whatever the box
+    # shape and the generator order, it must give the oracle's cells
+    @pytest.mark.parametrize("bound", [(17,), (3, 40), (40, 3), (0, 7), (2, 9, 5), (5, 1, 6), (3, 2, 4, 3)])
+    def test_matches_bfs_oracle(self, bound):
+        rng = random.Random(repr(bound))
+        d = len(bound)
+        for _ in range(12):
+            gens = [tuple(rng.randint(0, min(b, 4) + 1) for b in bound) for _ in range(rng.randint(1, 4))]
+            # longer than the box on one axis only
+            axis = rng.randrange(d)
+            gens.append(tuple(b + 1 if i == axis else rng.randint(0, b) for i, b in enumerate(bound)))
+            # zero on every axis but the last: its sweep chains within one row
+            gens.append((0,) * (d - 1) + (rng.randint(1, 3),))
+            gens = [g for g in gens if any(g)]
+            reach = _oracles.bfs_reachable(gens, bound)
+            want = bytes(v in reach for v in product(*(range(b + 1) for b in bound)))
+            for order in (gens, gens[::-1]):
+                assert monoids._ReachTable(bound, order).bits == want, (bound, order)
 
 
 def _outcome(call):
