@@ -42,6 +42,7 @@ def is_prime(n: int) -> bool:
     PRIMALITY_LIMIT (about 3.3e24).  A larger n that some base proves
     composite gives False; one that passes every base is refused with
     ResourceLimitError, since no proof of its primality is on hand."""
+    n = _as_int(n)
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -195,6 +196,7 @@ def _factor_tail(m: int, acc: dict[int, int]) -> None:
 def valuation(p: int, n: int) -> int:
     """Exponent of the prime p in n; n must be nonzero (the valuation of 0
     is infinite and rejected)."""
+    p, n = _as_int(p), _as_int(n)
     if n == 0:
         raise ValueError("valuation of 0 is infinite")
     if not is_prime(p):

@@ -13,7 +13,6 @@ resource cap.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -22,32 +21,6 @@ from . import curves, firmaments, heights, softpoints
 from .arith import parse_multiplicity
 from .monoids import _vector_text
 from .errors import MathDomainError, ParseError, RayUnsupportedError, ResourceLimitError
-
-
-# _emit's cells are str, int, Fraction and float, never bool
-def _fmt(value) -> str:
-    return f"{value:.9f}" if isinstance(value, float) else str(value)
-
-
-def _json_value(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, float):
-        return round(value, 9)
-    return value
-
-
-# json.dumps with separators builds a new encoder per call; this is the one
-# it would build
-_encode_json = json.JSONEncoder(separators=(",", ":")).encode
-
-
-def _emit(rows, columns, fmt) -> list[str]:
-    if fmt == "jsonl":
-        return [_encode_json({k: _json_value(v) for k, v in zip(columns, row)}) for row in rows]
-    lines = ["# " + "\t".join(columns)]
-    lines.extend("\t".join(map(_fmt, row)) for row in rows)
-    return lines
 
 
 def _parse_delta(text: str) -> softpoints.DeltaSupport3:
@@ -87,22 +60,18 @@ def _cmd_classify(args):
     for text in texts:
         profile = curves.parse_profile(text)
         cls = curves.classify(profile)
-        rows.append(
-            (
-                curves.profile_text(profile),
-                cls.degree,
-                cls.kappa.value,
-                curves.arithmetic_prediction(profile).value,
-            )
-        )
-    return _emit(rows, ("profile", "degree", "kappa", "prediction"), args.format), 0
+        prediction = curves.arithmetic_prediction(profile)
+        rows.append((curves.profile_text(profile), cls.degree, cls.kappa.value, prediction.value))
+    # every cell is text or a Fraction, so a JSON string that needs no escape
+    if args.format == "jsonl":
+        return ['{"profile":"%s","degree":"%s","kappa":"%s","prediction":"%s"}' % r for r in rows], 0
+    return ["# profile\tdegree\tkappa\tprediction", *("%s\t%s\t%s\t%s" % r for r in rows)], 0
 
 
 def _cmd_enumerate(args):
     delta = _parse_delta(args.delta)
     rows = softpoints._soft_rows(delta, args.max, args.positive, args.workers)
-    # one f-string a row, with the bytes _emit would give the columns
-    # a, c, b, soft, M, rad
+    # one f-string a row, for the columns a, c, b, soft, M, rad
     if args.format == "jsonl":
         return [
             f'{{"a":{a},"c":{c},"b":{c - a},"soft":true,"M":{max(abs(a), abs(c - a), c)},"rad":{rad}}}'
@@ -121,18 +90,25 @@ def _cmd_firmament(args):
     for ray in rays:
         if len(ray) != firm.dimension:
             raise ParseError(f"ray {ray} has dimension {len(ray)}, file has {firm.dimension}")
-    rows = []
+    # a supported ray has an int multiplicity and a Fraction delta
+    if args.format == "jsonl":
+        lines = []
+        row = '{"ray":"%s","multiplicity":%d,"delta":"%s"}'
+        unsupported = '{"ray":"%s","multiplicity":"unsupported","delta":"-"}'
+    else:
+        lines = ["# ray\tmultiplicity\tdelta"]
+        row, unsupported = "%s\t%d\t%s", "%s\tunsupported\t-"
     failed = False
     for ray in rays:
         label = _vector_text(ray)
         try:
             m = firmaments.multiplicity_at(firm, ray)
         except RayUnsupportedError:
-            rows.append((label, "unsupported", "-"))
+            lines.append(unsupported % label)
             failed = True
         else:
-            rows.append((label, m, 1 - Fraction(1, m)))
-    return _emit(rows, ("ray", "multiplicity", "delta"), args.format), (3 if failed else 0)
+            lines.append(row % (label, m, 1 - Fraction(1, m)))
+    return lines, (3 if failed else 0)
 
 
 def _cmd_abc_scan(args):
@@ -141,8 +117,8 @@ def _cmd_abc_scan(args):
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad quality threshold {args.min_quality!r}") from None
     rows = heights._abc_rows(args.max_c, threshold, args.workers)
-    # one string a row, with the bytes _emit would give the columns a, b, c,
-    # rad, quality; "%" on the row tuple beats unpacking it into an f-string
+    # one string a row, for the columns a, b, c, rad, quality; "%" on the
+    # row tuple beats unpacking it into an f-string
     if args.format == "jsonl":
         return [
             f'{{"a":{a},"b":{b},"c":{c},"rad":{rad},"quality":{round(q, 9)!r}}}'
@@ -155,8 +131,9 @@ def _cmd_abc_scan(args):
 
 def _cmd_vojta_gap(args):
     events = heights.scan_vojta_gap(args.eps_prime, args.max_c)
-    rows = [(e.a, e.b, e.c, e.gap) for e in events]
-    return _emit(rows, ("a", "b", "c", "gap"), args.format), 0
+    if args.format == "jsonl":
+        return [f'{{"a":{e.a},"b":{e.b},"c":{e.c},"gap":{round(e.gap, 9)!r}}}' for e in events], 0
+    return ["# a\tb\tc\tgap", *(f"{e.a}\t{e.b}\t{e.c}\t{e.gap:.9f}" for e in events)], 0
 
 
 def _cmd_minimal_profiles(args):
@@ -165,7 +142,9 @@ def _cmd_minimal_profiles(args):
     for mults in profiles:
         profile = curves.MultiplicityProfile.of(0, mults)
         rows.append((",".join(map(str, mults)), curves.constellation_degree(profile)))
-    return _emit(rows, ("multiplicities", "degree"), args.format), 0
+    if args.format == "jsonl":
+        return ['{"multiplicities":"%s","degree":"%s"}' % r for r in rows], 0
+    return ["# multiplicities\tdegree", *("%s\t%s" % r for r in rows)], 0
 
 
 _COMMANDS = {

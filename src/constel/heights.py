@@ -41,6 +41,8 @@ class Form:
 
     def __post_init__(self):
         object.__setattr__(self, "nvars", _as_int(self.nvars))
+        if self.nvars < 1:
+            raise ValueError(f"a form needs at least one variable, got nvars={self.nvars}")
         merged: dict[tuple[int, ...], int] = {}
         for exps, coeff in self.terms:
             e = tuple(map(_as_int, exps))
@@ -67,6 +69,8 @@ class Form:
     @classmethod
     def coordinate(cls, index: int, nvars: int) -> "Form":
         index, nvars = _as_int(index), _as_int(nvars)
+        if not 0 <= index < nvars:
+            raise ValueError(f"coordinate index {index} is outside 0..{nvars - 1}")
         exps = tuple(1 if i == index else 0 for i in range(nvars))
         return cls(nvars, ((exps, 1),))
 
@@ -152,6 +156,8 @@ class AbcTriple:
     c: int
 
     def __post_init__(self):
+        for name in ("a", "b", "c"):
+            object.__setattr__(self, name, _as_int(getattr(self, name)))
         a, b, c = self.a, self.b, self.c
         if min(a, b, c) < 1:
             raise ValueError("triple entries must be positive")

@@ -186,6 +186,8 @@ def cone_coefficients(gens, target) -> list[Fraction] | None:
     linearly independent generator subsets of size <= d (Caratheodory); a
     search over more than MAX_CONE_SUBSETS subsets is refused up front."""
     d, k = len(target), len(gens)
+    if any(len(g) != d for g in gens):
+        raise MathDomainError(f"generators must have as many coordinates as the target {tuple(target)}")
     # 2^k - 1 subsets in all: only a long generator list needs the sum
     if (1 << k) - 1 > MAX_CONE_SUBSETS:
         subsets = sum(math.comb(k, r) for r in range(1, min(d, k) + 1))
@@ -209,6 +211,9 @@ def cone_coefficients(gens, target) -> list[Fraction] | None:
 def _ray_cones(monoids, n):
     """The ray n as an integer tuple, with (monoid, cone coefficients of n)
     for each monoid whose rational cone contains it."""
+    monoids = list(monoids)
+    if not monoids:
+        raise ValueError("need at least one monoid")
     n = tuple(map(_as_int, n))
     if not any(n):
         raise MathDomainError("ray must be nonzero")
@@ -230,9 +235,6 @@ def min_multiple(monoids, n) -> int:
     stops at D.  Rays outside every cone raise RayUnsupportedError; a scan
     that passes D raises BoundExceededError, a bug, not a math condition.
     """
-    monoids = list(monoids)
-    if not monoids:
-        raise ValueError("need at least one monoid")
     n, cones = _ray_cones(monoids, n)
     if not cones:
         raise RayUnsupportedError(f"ray {n} is outside every rational cone")

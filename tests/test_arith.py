@@ -32,7 +32,7 @@ from constel.firmaments import (
     supported_constellation,
     to_text,
 )
-from constel.heights import Form
+from constel.heights import AbcTriple, Form
 from constel.monoids import LatticeMonoid, min_multiple, monoid, ray_restriction
 from constel.softpoints import P1PointQ
 
@@ -307,6 +307,26 @@ class TestIntegersOnly:
         assert repr(build(True)) == repr(build(1))
         with pytest.raises(MathDomainError):
             build(1.0)
+
+    @pytest.mark.parametrize(
+        "refused, with_bool, expected",
+        [
+            ([lambda: is_prime(7.0)], lambda: is_prime(True), False),
+            ([lambda: valuation(2.0, 8), lambda: valuation(2, 8.5)], lambda: valuation(2, True), 0),
+            (
+                [lambda: AbcTriple(1.0, 8, 9), lambda: AbcTriple(1, 8.0, 9), lambda: AbcTriple(1, 8, 9.0)],
+                lambda: AbcTriple(True, 8, 9).radical_product,
+                6,
+            ),
+        ],
+        ids=["is_prime", "valuation", "AbcTriple"],
+    )
+    def test_integer_arguments_go_through_as_int(self, refused, with_bool, expected):
+        # a float used to be taken (is_prime(7.0) was True) or to fail later
+        for call in refused:
+            with pytest.raises(MathDomainError):
+                call()
+        assert with_bool() == expected
 
     def test_bool_fields_round_trip_through_text(self):
         firm = Firmament(True, (monoid(2, 3),))

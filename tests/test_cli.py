@@ -320,6 +320,69 @@ class TestAbcRows:
         assert out == "\n".join(lines) + "\n"
 
 
+# one sample a command: its argv, exit code, and pieces of its TSV that
+# show the sample holds the cells it is meant to (a Fraction degree, a
+# negative degree, an unsupported ray, a negative gap, a negative a)
+ROW_SAMPLES = [
+    pytest.param(
+        ["classify", "g=0;m=2,3,7", "g=0;m=", "g=1;m=", "g=0;m=inf,inf,inf", "g=0;m=2,3,inf"],
+        0,
+        ["\t1/42\t", "\t-2\t"],
+        id="classify",
+    ),
+    pytest.param(["enumerate", "--delta", "2,2,2", "--max", "200"], 0, ["\n-"], id="enumerate"),
+    pytest.param(
+        ["firmament", "{firm}", "--rays", "(1,1);(1,0);(2,6);(0,1)"],
+        3,
+        ["\tunsupported\t-", "\t2\t1/2", "\t1\t0"],
+        id="firmament",
+    ),
+    pytest.param(["abc-scan", "--max-c", "300", "--min-quality", "1/3"], 0, ["\t1.000000000"], id="abc-scan"),
+    pytest.param(["vojta-gap", "--eps-prime", "0.2", "--max-c", "300"], 0, ["\t-0."], id="vojta-gap"),
+    pytest.param(["minimal-profiles"], 0, ["2,2,2,2,2\t1/2"], id="minimal-profiles"),
+]
+
+# the JSON types of the columns that are not strings: ints and floats are
+# numbers, rationals and text are strings (an unsupported multiplicity too)
+JSON_TYPES = {
+    **dict.fromkeys(("a", "b", "c", "M", "rad", "multiplicity"), int),
+    **dict.fromkeys(("quality", "gap"), float),
+    "soft": bool,
+}
+
+
+class TestPrintedRows:
+    @pytest.mark.parametrize("argv, code, pieces", ROW_SAMPLES)
+    def test_jsonl_records_follow_the_tsv_header(self, capsys, tmp_path, argv, code, pieces):
+        firm = tmp_path / "partial.txt"
+        firm.write_text("dim 2\n2; (2,2) (2,1)\n2; (1,3)\n")
+        argv = [a.replace("{firm}", str(firm)) for a in argv]
+        tsv_code, tsv = run(capsys, *argv)
+        jsonl_code, jsonl = run(capsys, *argv, "--format", "jsonl")
+        assert tsv_code == jsonl_code == code
+        assert all(piece in tsv for piece in pieces)
+        header, *rows = tsv.splitlines()
+        assert header.startswith("# ")
+        columns = header[2:].split("\t")
+        assert rows and all(len(row.split("\t")) == len(columns) for row in rows)
+        lines = jsonl.splitlines()
+        assert len(lines) == len(rows)
+        for line, row in zip(lines, rows):
+            record = json.loads(line)
+            assert line == json.dumps(record, separators=(",", ":"))
+            assert list(record) == columns
+            # the same cells: ints and text as printed, floats to nine places
+            for column, value, cell in zip(columns, record.values(), row.split("\t")):
+                if (column, value) != ("multiplicity", "unsupported"):
+                    assert type(value) is JSON_TYPES.get(column, str), (column, value)
+                if isinstance(value, bool):
+                    assert cell == str(value).lower()
+                elif isinstance(value, float):
+                    assert value == round(value, 9) and cell == f"{value:.9f}"
+                else:
+                    assert cell == str(value)
+
+
 # one case per configurable setting: the command line without the setting,
 # the setting as flags and the same setting as config lines
 SETTING_CASES = [

@@ -41,6 +41,17 @@ class TestForms:
         with pytest.raises(ValueError):
             Form(2, ((((2, 0)), 1), (((0, 1)), 1)))  # inhomogeneous
 
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: Form.coordinate(5, 2), lambda: Form.coordinate(-1, 3), lambda: Form(0, (((), 1),))],
+        ids=["index_past_nvars", "negative_index", "no_variables"],
+    )
+    def test_refuses_coordinates_that_do_not_exist(self, build):
+        # each of these used to give a constant form of degree 0
+        with pytest.raises(ValueError):
+            build()
+        assert Form.coordinate(1, 2).terms == (((0, 1), 1),)
+
     def test_merges_terms(self):
         f = Form(2, ((((1, 1)), 2), (((1, 1)), -1)))
         assert f.terms == (((1, 1), 1),)

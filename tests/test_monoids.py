@@ -447,6 +447,30 @@ def test_cone_coefficients_clears_denominators():
     assert cone_coefficients(((2, 1), (1, 2)), (1, 1)) is not None
 
 
+class TestConeGuards:
+    @pytest.mark.parametrize(
+        "scan",
+        [min_multiple, lambda ms, n: ray_restriction(ms, n, 3)],
+        ids=["min_multiple", "ray_restriction"],
+    )
+    def test_no_monoids_are_refused(self, scan):
+        with pytest.raises(ValueError, match="need at least one monoid"):
+            scan([], (1,))
+
+    @pytest.mark.parametrize(
+        "gens, target",
+        [(((1, 2),), (1,)), (((1,),), (1, 2)), (((1, 0), (1,)), (1, 0))],
+        ids=["longer", "shorter", "one_of_two_shorter"],
+    )
+    def test_generator_lengths_must_match_the_target(self, monkeypatch, gens, target):
+        def no_solve(*args):
+            raise AssertionError("a generator subset was solved")
+
+        monkeypatch.setattr(monoids._linalg, "solve_columns", no_solve)
+        with pytest.raises(MathDomainError):
+            cone_coefficients(gens, target)
+
+
 class TestConeSubsetCap:
     def test_refuses_before_the_first_solve(self, monkeypatch):
         def no_solve(*args):
