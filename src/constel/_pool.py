@@ -5,9 +5,6 @@ from __future__ import annotations
 
 import os
 
-# (func, items, w) of the running map; set only inside the forked workers
-_job = None
-
 
 def usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the platform
@@ -17,30 +14,64 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _install(job: tuple) -> None:
-    global _job
-    _job = job
-
-
-def _run(i: int) -> list:
-    func, items, w = _job
-    return func(items[i::w])
-
-
 def fork_map(func, items, workers: int) -> list:
     """func(items[i::w]) for i < w, concatenated in that order, where
     w = max(1, min(workers, len(items), usable_cpus())) processes run one
-    stride each.  The workers inherit func and items with the parent's
-    memory instead of having them pickled, so func may be a closure over
-    large tables; only the results travel back.  With w = 1, or where the
-    platform cannot fork, func(items) runs in this process."""
+    stride each.  This process runs stride 0; strides 1..w-1 run in forked
+    children, which inherit func and items with the parent's memory
+    instead of having them pickled, so func may be a closure over large
+    tables.  Each child pickles (ok, result or exception) into its own
+    pipe and leaves through os._exit, so none of the parent's cleanup runs
+    in it.  A child's exception is raised here with its type; a child that
+    sends nothing (killed, or exited early) raises RuntimeError.  Every
+    child is reaped before this returns or raises.  With w = 1, or where
+    the platform cannot fork, func(items) runs in this process."""
     w = max(1, min(workers, len(items), usable_cpus()))
-    if w > 1:
-        import multiprocessing  # only parallel runs pay for the import
+    if w == 1 or not hasattr(os, "fork"):
+        return func(items)
+    import pickle  # only parallel runs pay for the import
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            with multiprocessing.get_context("fork").Pool(
-                w, initializer=_install, initargs=((func, items, w),)
-            ) as pool:
-                return [x for part in pool.map(_run, range(w)) for x in part]
-    return func(items)
+    pids: list[int] = []
+    pipes: list[int] = []  # read ends not yet read, in stride order
+    try:
+        for i in range(1, w):
+            r, wr = os.pipe()
+            pipes.append(r)
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(wr)
+                raise
+            if pid == 0:  # the child never returns from this block
+                code = 1
+                try:
+                    for fd in pipes:
+                        os.close(fd)
+                    try:
+                        out = (True, func(items[i::w]))
+                    except BaseException as exc:  # the parent raises it
+                        out = (False, exc)
+                    with open(wr, "wb") as f:
+                        pickle.dump(out, f, pickle.HIGHEST_PROTOCOL)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(wr)
+            pids.append(pid)
+        parts = [func(items[::w])]
+        for i in range(1, w):
+            with open(pipes.pop(0), "rb") as f:
+                try:
+                    ok, value = pickle.load(f)
+                except (EOFError, pickle.UnpicklingError) as exc:
+                    raise RuntimeError(f"worker {i} of {w} exited without a result") from exc
+            if not ok:
+                raise value
+            parts.append(value)
+    finally:
+        # a child blocked on a full pipe gets EPIPE once its read end closes
+        for fd in pipes:
+            os.close(fd)
+        for pid in pids:
+            os.waitpid(pid, 0)
+    return [x for part in parts for x in part]

@@ -240,6 +240,25 @@ def _rad_table(limit: int) -> array:
     return rad
 
 
+# The wheel of the pair and triple scans: a value can only be prime to n if
+# it is prime to gcd(n, WHEEL), so a scan keeps its values split by the
+# divisors k of WHEEL and reads the class gcd(n, WHEEL).  Pairs that share
+# a factor 2 or 3 are then never visited.
+WHEEL = 6
+
+
+def _wheel_classes(values):
+    """(k, the values prime to k, in their order) for each k dividing WHEEL,
+    from a sequence of values.
+
+    >>> dict(_wheel_classes([1, 2, 3, 4, 5, 6, 7]))
+    {1: [1, 2, 3, 4, 5, 6, 7], 2: [1, 3, 5, 7], 3: [1, 2, 4, 5, 7], 6: [1, 5, 7]}
+    """
+    for k in range(1, WHEEL + 1):
+        if WHEEL % k == 0:
+            yield k, [v for v in values if gcd(v, k) == 1]
+
+
 def check_multiplicity(m, minimum: int = 1):
     """Validate a multiplicity: an integer >= minimum, or INFINITY."""
     if m == INFINITY:

@@ -493,9 +493,7 @@ runs = [
 for argv in runs:
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
-# multiprocessing files __main__ again as __mp_main__
-main = sys.modules["__main__"]
-added = {{name.partition(".")[0] for name, m in sys.modules.items() if name not in before and m is not main}}
+added = {{name.partition(".")[0] for name in sys.modules if name not in before}}
 print(" ".join(sorted(n for n in added if n not in sys.stdlib_module_names and n != "constel")))
 """
         src = str(Path(cli.__file__).parents[1])
@@ -517,7 +515,7 @@ class TestDeterminism:
         [
             pytest.param("2", "400", "1.0", id="2"),
             pytest.param("8", "400", "1.0", id="8"),
-            # every coprime pair is a hit at 1/3: 3 429 rows cross the pool
+            # every coprime pair is a hit at 1/3: 3 429 rows cross the pipes
             pytest.param("2", "150", "1/3", id="2-one-third"),
         ],
     )

@@ -352,6 +352,85 @@ class TestVojtaScan:
         assert last.gap == pytest.approx(0.8 * math.log(59392) - math.log(7 * 3 * 2 * 29), abs=1e-12)
 
 
+class ClassOne:
+    """An index whose every class reads its class-1 order: the scan with
+    no wheel, for the differential tests."""
+
+    def __init__(self, index):
+        self.index, self.rad, self.order = index, index.rad, self
+
+    def __getitem__(self, k):
+        return self.index.order[1]
+
+    def count_upto(self, s, k=1):
+        return self.index.count_upto(s)
+
+
+class TestWheelIndex:
+    def assert_classes(self, index):
+        rad, one = index.rad, index.order[1]
+        assert one == sorted((n for n in range(1, len(rad)) if rad[n] <= index.cap), key=lambda n: (rad[n], n))
+        assert sorted(index.order) == sorted(index.keys) == [1, 2, 3, 6]
+        for k, order in index.order.items():
+            assert order == [n for n in one if math.gcd(n, k) == 1]
+            keys = list(index.keys[k])
+            assert keys == [index.rad[n] for n in order] == sorted(keys)
+
+    @pytest.mark.parametrize("limit", [1, 2, 7, 100, 2000])
+    def test_every_class_is_the_class_one_order_prime_to_k(self, limit):
+        index = heights._RadicalIndex(limit)
+        assert index.cap == math.isqrt(limit)
+        self.assert_classes(index)
+        # one step past the cap at least doubles it; the limit takes all
+        index.count_upto(index.cap + 1)
+        assert index.cap == min(max(2 * math.isqrt(limit), 1), limit)
+        self.assert_classes(index)
+        for k in (1, 2, 3, 6):
+            assert index.count_upto(limit, k) == len(index.order[k])
+        assert index.cap == limit
+        assert len(index.order[1]) == limit
+        self.assert_classes(index)
+
+    @staticmethod
+    def recorded(monkeypatch, scan, one_class):
+        """The (c, candidates) that _pruned_triples yields during scan()."""
+        seen = []
+        real = heights._pruned_triples
+
+        def recording(index, cs, log_bound):
+            for c, candidates in real(ClassOne(index) if one_class else index, cs, log_bound):
+                seen.append((c, candidates))
+                yield c, candidates
+
+        with monkeypatch.context() as m:
+            m.setattr(heights, "_pruned_triples", recording)
+            scan()
+        return seen
+
+    # at q = 1/3 every coprime pair is a candidate, 608 294 of them at 2000
+    # (about 4 s), so that threshold stops at 700
+    @pytest.mark.parametrize(
+        "scan, max_c",
+        [
+            *(
+                pytest.param(lambda n, q=q: heights._abc_rows(n, q, 1), n, id=f"abc-{q}-{n}")
+                for q in (Fraction(1, 3), Fraction(2, 3), Fraction(1), Fraction(6, 5), Fraction(2))
+                for n in (3, 40, 700, 2000)
+                if n < 2000 or q > Fraction(1, 3)
+            ),
+            *(
+                pytest.param(lambda n, e=e: scan_vojta_gap(e, n), n, id=f"vojta-{e}-{n}")
+                for e in (0.05, 0.2, 0.9)
+                for n in (3, 40, 700, 2000)
+            ),
+        ],
+    )
+    def test_pruned_triples_equal_the_scan_without_the_wheel(self, monkeypatch, scan, max_c):
+        wheel = self.recorded(monkeypatch, lambda: scan(max_c), False)
+        assert wheel
+        assert wheel == self.recorded(monkeypatch, lambda: scan(max_c), True)
+
+
 class TestQualityThresholds:
     def test_below_one_third_admits_every_coprime_triple(self):
         everything = scan_abc(60, Fraction(1, 3))
