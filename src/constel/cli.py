@@ -15,15 +15,16 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from pathlib import Path
 
-from . import curves, firmaments, heights, softpoints
+# only arith and errors load with the CLI: each command imports the module it
+# runs, so a run loads no layer it does not use
 from .arith import parse_multiplicity
-from .monoids import _vector_text
 from .errors import MathDomainError, ParseError, RayUnsupportedError, ResourceLimitError
 
 
-def _parse_delta(text: str) -> softpoints.DeltaSupport3:
+def _parse_delta(text: str):
+    from . import softpoints
+
     parts = text.split(",")
     if len(parts) != 3:
         raise ParseError(f"delta {text!r}: expected three comma-separated multiplicities")
@@ -35,7 +36,8 @@ def _parse_delta(text: str) -> softpoints.DeltaSupport3:
 
 def _read_text(path: str, what: str) -> str:
     try:
-        return Path(path).read_text()
+        with open(path) as f:
+            return f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {what}: {exc}") from None
 
@@ -51,6 +53,8 @@ def _parse_ray(tok: str) -> tuple[int, ...]:
 
 
 def _cmd_classify(args):
+    from . import curves
+
     texts = list(args.profiles)
     if args.file:
         texts.extend(ln for ln in _read_text(args.file, "profile file").splitlines() if ln.strip())
@@ -69,6 +73,8 @@ def _cmd_classify(args):
 
 
 def _cmd_enumerate(args):
+    from . import softpoints
+
     delta = _parse_delta(args.delta)
     rows = softpoints._soft_rows(delta, args.max, args.positive, args.workers)
     # one f-string a row, for the columns a, c, b, soft, M, rad
@@ -83,6 +89,9 @@ def _cmd_enumerate(args):
 
 
 def _cmd_firmament(args):
+    from . import firmaments
+    from .monoids import _vector_text
+
     firm = firmaments.from_text(_read_text(args.file, "firmament file"))
     rays = [_parse_ray(tok) for tok in args.rays.split(";") if tok.strip()]
     if not rays:
@@ -112,6 +121,8 @@ def _cmd_firmament(args):
 
 
 def _cmd_abc_scan(args):
+    from . import heights
+
     try:
         threshold = Fraction(args.min_quality)
     except (ValueError, ZeroDivisionError):
@@ -130,6 +141,8 @@ def _cmd_abc_scan(args):
 
 
 def _cmd_vojta_gap(args):
+    from . import heights
+
     events = heights.scan_vojta_gap(args.eps_prime, args.max_c)
     if args.format == "jsonl":
         return [f'{{"a":{e.a},"b":{e.b},"c":{e.c},"gap":{round(e.gap, 9)!r}}}' for e in events], 0
@@ -137,6 +150,8 @@ def _cmd_vojta_gap(args):
 
 
 def _cmd_minimal_profiles(args):
+    from . import curves
+
     profiles = curves.minimal_general_type_profiles(args.max_marks, args.max_mult)
     rows = []
     for mults in profiles:

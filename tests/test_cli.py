@@ -1,3 +1,4 @@
+import errno
 import json
 import math
 import os
@@ -198,6 +199,9 @@ class TestExitCodes:
         binary = tmp_path / "binary.txt"
         binary.write_bytes(b"g=0;m=\xff\n")
         assert run(capsys, "classify", "--file", str(binary))[0] == 2
+        assert main(["classify", "--file", str(tmp_path)]) == 2
+        reason = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(tmp_path)!r}"
+        assert capsys.readouterr() == ("", f"error: cannot read profile file: {reason}\n")
 
     def test_sieve_cap_is_4(self, capsys, monkeypatch):
         def no_table(*args):
