@@ -34,7 +34,7 @@ _MR_BASES = _SMALL_PRIMES + (41,)
 PRIMALITY_LIMIT = 3317044064679887385961981  # psi_13
 
 # increments of the mod-30 wheel starting at 41 (residues 11,13,17,19,23,29,1,7)
-_WHEEL = (2, 4, 2, 4, 6, 2, 6, 4)
+_MOD30_STEPS = (2, 4, 2, 4, 6, 2, 6, 4)
 
 
 def is_prime(n: int) -> bool:
@@ -89,8 +89,6 @@ def _brent_rho(n: int) -> int:
     """Brent's cycle variant of Pollard rho with a deterministic parameter
     sweep.  n must be composite, odd and not a perfect power of a small prime
     (callers strip those first)."""
-    if n % 2 == 0:
-        return 2
     for c in range(1, 100):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
@@ -167,12 +165,10 @@ def factorize(n: int) -> Factorization:
 
 
 def _factor_tail(m: int, acc: dict[int, int]) -> None:
-    # m has no prime factor <= 37 here
+    # every m stacked is > 1 with no prime factor <= 37: rho splits properly
     stack = [m]
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             acc[m] = acc.get(m, 0) + 1
             continue
@@ -187,7 +183,7 @@ def _factor_tail(m: int, acc: dict[int, int]) -> None:
                 acc[f] = acc.get(f, 0) + 1
                 m //= f
             else:
-                f += _WHEEL[i]
+                f += _MOD30_STEPS[i]
                 i = (i + 1) & 7
         if m > 1:
             acc[m] = acc.get(m, 0) + 1

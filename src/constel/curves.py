@@ -169,28 +169,28 @@ def parse_profile(text: str) -> MultiplicityProfile:
     An empty mark list is written `g=1;m=`.
     """
     s = text.strip()
+    lead = len(text) - len(text.lstrip())  # positions count in text, not s
     head, sep, tail = s.partition(";")
     if not sep:
         raise ParseError(f"profile {text!r}: missing ';' separator")
     if not head.startswith("g="):
-        raise ParseError(f"profile {text!r}: expected 'g=<genus>' at position 0")
+        raise ParseError(f"profile {text!r}: expected 'g=<genus>' at position {lead}")
     try:
         genus = int(head[2:])
     except ValueError:
-        raise ParseError(f"profile {text!r}: bad genus {head[2:]!r} at position 2") from None
+        raise ParseError(f"profile {text!r}: bad genus {head[2:]!r} at position {lead + 2}") from None
     if not tail.startswith("m="):
-        raise ParseError(f"profile {text!r}: expected 'm=<list>' at position {len(head) + 1}")
-    body = tail[2:].strip()
+        raise ParseError(f"profile {text!r}: expected 'm=<list>' at position {lead + len(head) + 1}")
+    body = tail[2:]
     mults = []
-    if body:
-        pos = len(head) + 3
+    if body.strip():
+        pos = lead + len(head) + 3
         for tok in body.split(","):
             try:
                 mults.append(parse_multiplicity(tok))
             except ValueError:
-                raise ParseError(
-                    f"profile {text!r}: bad multiplicity {tok.strip()!r} at position {pos}"
-                ) from None
+                at = pos + len(tok) - len(tok.lstrip())
+                raise ParseError(f"profile {text!r}: bad multiplicity {tok.strip()!r} at position {at}") from None
             pos += len(tok) + 1
     try:
         return MultiplicityProfile.of(genus, mults)

@@ -257,13 +257,13 @@ def _pruned_triples(index: _RadicalIndex, cs, log_bound):
     """The coprime triples a + b = c, a <= b, c in cs, that can have
     rad(abc) <= B(c) = exp(log_bound(c)) * (1 + 1e-9) + 2.
 
-    Yields (c, increasing a's) for each c with candidates.  A coprime pair
-    has rad(abc) = rad(a) rad(b) rad(c), so it qualifies exactly when
-    rad(a) rad(b) <= T = floor(B / rad c), and then min(rad a, rad b) <=
-    sqrt(T) (Browkin & Brzezinski, Math. Comp. 62, 1994): only the x < c
-    with rad(x) <= sqrt(T) are visited, as a = min(x, c - x), and of those
-    only the x prime to gcd(c, WHEEL), from the index's class of c; an x
-    sharing 2 or 3 with c gives an a that is not prime to c.  At
+    Yields (c, [(a, rad(abc))]) for each c with candidates, a increasing.
+    A coprime pair has rad(abc) = rad(a) rad(b) rad(c), so it qualifies
+    exactly when rad(a) rad(b) <= T = floor(B / rad c), and then min(rad a,
+    rad b) <= sqrt(T) (Browkin & Brzezinski, Math. Comp. 62, 1994): only
+    the x < c with rad(x) <= sqrt(T) are visited, as a = min(x, c - x), and
+    of those only the x prime to gcd(c, WHEEL), from the index's class of
+    c; an x sharing 2 or 3 with c gives an a that is not prime to c.  At
     --max-c 30000 and quality 1 that visits 96 095 x instead of 297 438.
     The floats only size B; the test on rad(a) rad(b) is exact.
     log_bound(c) is called as c is reached, after the previous c's triples
@@ -283,7 +283,7 @@ def _pruned_triples(index: _RadicalIndex, cs, log_bound):
             if x < c and rad[x] * rad[c - x] <= t
         }
         if xs:
-            candidates = [a for a in sorted(xs) if gcd(a, c) == 1]
+            candidates = [(a, rad[a] * rad[c - a] * rc) for a in sorted(xs) if gcd(a, c) == 1]
             if candidates:
                 yield c, candidates
 
@@ -312,7 +312,6 @@ def scan_vojta_gap(eps_prime: float, max_c: int) -> list[GapEvent]:
     if max_c < 2:
         raise MathDomainError("max_c must be at least 2")
     index = _RadicalIndex(max_c)
-    rad = index.rad
     events: list[GapEvent] = []
     # every gap is above this: rad(abc) <= abc < c^3 <= max_c^3, so the
     # first candidate is an event and every log bound is finite
@@ -324,8 +323,8 @@ def scan_vojta_gap(eps_prime: float, max_c: int) -> list[GapEvent]:
     # c = 2 has only a = b = 1
     for c, candidates in _pruned_triples(index, range(3, max_c + 1), log_bound):
         hc = (1 - eps_prime) * math.log(c)
-        for a in candidates:
-            g = hc - math.log(rad[a] * rad[c - a] * rad[c])
+        for a, rp in candidates:
+            g = hc - math.log(rp)
             if g > best:
                 best = g
                 events.append(GapEvent(a, c - a, c, g))
@@ -341,21 +340,16 @@ class AbcHit:
     quality: float
 
 
-def _quality_at_least(c: int, radprod: int, threshold: Fraction) -> bool:
-    # log c / log radprod >= p/q  <=>  c^q >= radprod^p, exactly
-    return c**threshold.denominator >= radprod**threshold.numerator
-
-
 def _scan_abc_chunk(index: _RadicalIndex, min_quality: Fraction, cs) -> list[tuple]:
     """The rows of _abc_rows with c in cs, unsorted; index covers every c.
     Plain (a, b, c, rad, quality) tuples pickle back from a worker cheaply."""
-    rad = index.rad
+    p, q = min_quality.numerator, min_quality.denominator
     exponent = 1.0 / float(min_quality)
     rows: list[tuple] = []
     for c, candidates in _pruned_triples(index, cs, lambda c: exponent * math.log(c)):
-        for a in candidates:
-            rp = rad[a] * rad[c - a] * rad[c]
-            if _quality_at_least(c, rp, min_quality):
+        for a, rp in candidates:
+            # log c / log rp >= p/q  <=>  c^q >= rp^p, exactly
+            if c**q >= rp**p:
                 rows.append((a, c - a, c, rp, math.log(c) / math.log(rp)))
     return rows
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from operator import mul
@@ -77,7 +77,9 @@ class LatticeMonoid:
 
     dimension: int
     generators: tuple[tuple[int, ...], ...]
-    _cache: list = field(default_factory=list, compare=False, repr=False, hash=False)
+    # the reach table of the last box asked for; unannotated, so it is no
+    # field: __init__, eq, hash, repr and dataclasses.replace ignore it
+    _reach = None
 
     def __post_init__(self):
         object.__setattr__(self, "dimension", _as_int(self.dimension))
@@ -104,10 +106,10 @@ class LatticeMonoid:
         object.__setattr__(self, "generators", tuple(gens))
 
     def _table(self, v) -> _ReachTable:
-        cache = self._cache
-        if cache and all(vi <= bi for vi, bi in zip(v, cache[0].bound)):
-            return cache[0]
-        old = cache[0].bound if cache else (0,) * self.dimension
+        reach = self._reach
+        if reach and all(vi <= bi for vi, bi in zip(v, reach.bound)):
+            return reach
+        old = reach.bound if reach else (0,) * self.dimension
         # grow only the exceeded axes, geometrically, to amortize scans
         bound = tuple(bi if vi <= bi else max(vi, 2 * bi) for vi, bi in zip(v, old))
         if math.prod(b + 1 for b in bound) > MAX_REACH_CELLS:
@@ -122,8 +124,7 @@ class LatticeMonoid:
             fit = bisect_right(range(top + 1), MAX_REACH_CELLS, key=lambda t: math.prod(c + 1 for c in box(t)))
             bound = box(max(fit - 1, 0))  # the steps 0..fit-1 fit the cap
         table = _ReachTable(bound, self.generators)
-        cache.clear()
-        cache.append(table)
+        object.__setattr__(self, "_reach", table)
         return table
 
     def member(self, v) -> bool:
@@ -133,11 +134,10 @@ class LatticeMonoid:
         >>> m.member((3, 1)), m.member([2, 1])
         (True, False)
         """
-        cache = self._cache
         while True:
             # a tuple of plain ints inside the cached box: one index loop
-            if cache and type(v) is tuple and len(v) == self.dimension:
-                table = cache[0]
+            table = self._reach
+            if table and type(v) is tuple and len(v) == self.dimension:
                 idx = 0
                 for x, b, s in zip(v, table.bound, table.strides):
                     if type(x) is not int or not 0 <= x <= b:

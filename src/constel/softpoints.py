@@ -195,28 +195,26 @@ def _hit_table(Y, off: int, n: int) -> mmap.mmap:
 
 
 def _pair_hits(X, in_y, table, off):
-    """(diff, add) for the sorted inner values X of a pair scan: for an
-    outer value o, diff(o) yields the x in X with |o - x| in the looked-up
-    role and add(o) those with o + x in it, both in increasing order.  With
-    the role's _hit_table at offset off, each is one gather from the table;
-    with table None, each x is an `in` test on the role's container in_y."""
+    """h for the sorted inner values X of a pair scan: for an outer value o
+    with |o| <= off, h(o) yields the x in X with |o - x| in the looked-up
+    role, in increasing order.  Every x is positive, so h(-o) gives those
+    with o + x in it.  With the role's _hit_table at offset off, h(o) is one
+    gather from the table; with table None, each x is an `in` test on the
+    role's container in_y.  Both stay lazy, so that --positive stops them
+    at x = o."""
     if table is not None:
         view = memoryview(table)  # its slices share the table
         # the extra index keeps the gather a tuple when X has one value (X
         # must not be empty: itemgetter(0) alone returns one byte); compress
         # stops at the end of X
         get = itemgetter(*X, 0)
-        return (
-            (lambda o: compress(X, get(view[off - o :]))),
-            (lambda o: compress(X, get(view[off + o :]))),
-        )
-    # x = o gives 0, which no role holds; diff stays lazy, as a gather is,
-    # so that --positive stops it at x = o
-    return (lambda o: (x for x in X if abs(o - x) in in_y)), (lambda o: [x for x in X if o + x in in_y])
+        return lambda o: compress(X, get(view[off - o :]))
+    # x = o gives 0, which no role holds
+    return lambda o: (x for x in X if abs(o - x) in in_y)
 
 
 def _wheel_hits(X, lookup):
-    """_pair_hits by k = gcd(o, WHEEL) for an outer value o: those over the
+    """_pair_hits by k = gcd(o, WHEEL) for an outer value o: the one over the
     x in X prime to k, in increasing order (see arith.WHEEL).  At --delta
     2,2,2 --max 494387 the gathers return 12 550 hits with a wheel of 6,
     against 60 498 with none and 9110 with a wheel of 30, which was not
@@ -242,11 +240,11 @@ def _pair_rows(roles, X, lookup, rads, positive_only, outs):
     hits = _wheel_hits(X, lookup)
     out = []
     for o in outs:
-        diff, add = hits[gcd(o, WHEEL)]
+        h = hits[gcd(o, WHEEL)]
         if positive_only:
-            sides = [(1, takewhile(o.__gt__, diff(o)))] if by_c else [(-1, add(o))]
+            sides = [(1, takewhile(o.__gt__, h(o)))] if by_c else [(-1, h(-o))]
         else:
-            sides = [(1, diff(o)), (-1, add(o))]
+            sides = [(1, h(o)), (-1, h(-o))]
         ro = rad_o(o)
         for s, xs in sides:
             for x in xs:

@@ -160,6 +160,44 @@ class TestExitCodes:
         f.write_text(f"dim 2\n{line}\n")
         assert run(capsys, "firmament", str(f), "--rays", "(1,1)")[0] == 2
 
+    @pytest.mark.parametrize(
+        "argv, firm, message",
+        [
+            (["enumerate", "--delta", "1,x,2", "--max", "10"], None,
+             "error: delta '1,x,2': multiplicities are integers >= 1 or inf"),
+            (["enumerate", "--delta", "1,0,2", "--max", "10"], None,
+             "error: delta '1,0,2': multiplicities are integers >= 1 or inf"),
+            (["firmament", str(DATA / "firm_example8.txt"), "--rays", "(1,a)"], None, "error: bad ray '(1,a)'"),
+            (["firmament", str(DATA / "firm_example8.txt"), "--rays", ";"], None, "error: no rays given"),
+            (["firmament", str(DATA / "firm_example8.txt"), "--rays", "(1,0,0)"], None,
+             "error: ray (1, 0, 0) has dimension 3, file has 2"),
+            (["classify"], None, "error: no profiles given (pass them as arguments or via --file)"),
+            # argparse prints its usage lines before this one
+            (["abc-scan", "--max-c", "5", "--config"], None,
+             "constel abc-scan: error: argument --config: expected one argument"),
+            ([], "dim x\n", "error: line 1: bad dimension 'x'"),
+            ([], "dim 2\nx; (1,0)\n", "error: line 2: bad monoid dimension 'x'"),
+            ([], "dim 2\n2; 1,0\n", "error: line 2: bad generator token '1,0'"),
+            ([], "dim 2\n2;\n", "error: line 2: monoid has no generators"),
+            ([], "dim 2\n", "error: firmament file lists no monoids"),
+        ],
+        ids=[
+            "delta-token", "delta-zero", "ray-token", "no-rays", "ray-dimension", "no-profiles", "argparse",
+            "file-dimension", "file-monoid-dimension", "file-generator-token", "file-no-generators", "file-no-monoids",
+        ],
+    )
+    def test_refusals_are_2_with_one_message(self, capsys, tmp_path, argv, firm, message):
+        if firm is not None:
+            f = tmp_path / "firm.txt"
+            f.write_text(firm)
+            argv = ["firmament", str(f), "--rays", "(1,0)"]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        if "--config" in argv:
+            err = err.splitlines(keepends=True)[-1]
+        assert err == message + "\n"
+
     def test_unknown_flag_is_2(self, capsys):
         assert main(["classify", "--bogus"]) == 2
         capsys.readouterr()

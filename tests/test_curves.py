@@ -202,5 +202,10 @@ class TestParsing:
             parse_profile("g=0;m=q")
         with pytest.raises(ParseError, match="position 8"):
             parse_profile("g=0;m=2,q")
+        # positions count in the text as given, to the first character of
+        # the bad token
+        for text in ("g=0;m= 2,x", " g=0;m=2,x", "g=0;m=2, x"):
+            with pytest.raises(ParseError, match=r"'x' at position 9$"):
+                parse_profile(text)
         with pytest.raises(ParseError):
             parse_profile("g=0")

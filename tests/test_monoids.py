@@ -1,3 +1,4 @@
+import dataclasses
 import enum
 import random
 from itertools import product
@@ -224,7 +225,18 @@ class TestWarmCold:
                 for p in order:
                     want = p in reach
                     assert LatticeMonoid(d, m.generators).member(p) == want, (m.generators, p)
-                    assert warm.member(p) == want, (m.generators, p, warm._cache[0].bound)
+                    assert warm.member(p) == want, (m.generators, p, warm._reach.bound)
+
+
+def test_replace_builds_its_own_reach_table():
+    m = monoid(2, 3)
+    assert not m.member((1,))  # warms m's table
+    other = dataclasses.replace(m, generators=((1,),))
+    assert other.member((1,))
+    assert not m.member((1,))
+    # the table is no constructor argument
+    with pytest.raises(TypeError):
+        LatticeMonoid(1, ((2,),), [])
 
 
 class _Coord(enum.IntEnum):

@@ -315,8 +315,8 @@ class TestSoftRows:
             for o in range(1, off + 1):
                 diff = [x for x in X if abs(o - x) in Y]
                 add = [x for x in X if o + x in Y]
-                assert list(table[0](o)) == list(lookup[0](o)) == diff
-                assert list(table[1](o)) == list(lookup[1](o)) == add
+                assert list(table(o)) == list(lookup(o)) == diff
+                assert list(table(-o)) == list(lookup(-o)) == add
 
     def test_wheel_hits_are_the_class_prime_to_the_outer_value(self):
         rng = random.Random(16)
@@ -334,9 +334,9 @@ class TestSoftRows:
                 for o in range(1, off + 1):
                     w = math.gcd(o, 6)
                     prime = [x for x in X if math.gcd(x, w) == 1]
-                    diff, add = hits[w]
-                    assert list(diff(o)) == [x for x in prime if abs(o - x) in in_y]
-                    assert list(add(o)) == [x for x in prime if o + x in in_y]
+                    h = hits[w]
+                    assert list(h(o)) == [x for x in prime if abs(o - x) in in_y]
+                    assert list(h(-o)) == [x for x in prime if o + x in in_y]
 
     @pytest.fixture(params=["table", "set"])
     def hit_path(self, request, monkeypatch):
