@@ -1,5 +1,5 @@
 """The fork map shared by the parallel scans: the one place that decides how
-many processes run and which items each one gets."""
+many processes run, which items each one gets and where each one runs."""
 
 from __future__ import annotations
 
@@ -14,6 +14,16 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _pin(cpu: int) -> bool:
+    """Confine this process to one CPU; False where the platform has no
+    affinity call or refuses it."""
+    try:
+        os.sched_setaffinity(0, (cpu,))
+    except (AttributeError, OSError):
+        return False
+    return True
+
+
 def fork_map(func, items, workers: int) -> list:
     """func(items[i::w]) for i < w, concatenated in that order, where
     w = max(1, min(workers, len(items), usable_cpus())) processes run one
@@ -23,14 +33,28 @@ def fork_map(func, items, workers: int) -> list:
     tables.  Each child pickles (ok, result or exception) into its own
     pipe and leaves through os._exit, so none of the parent's cleanup runs
     in it.  A child's exception is raised here with its type; a child that
-    sends nothing (killed, or exited early) raises RuntimeError.  Every
-    child is reaped before this returns or raises.  With w = 1, or where
-    the platform cannot fork, func(items) runs in this process."""
+    sends nothing (killed, or exited early) raises RuntimeError.  A call
+    that raises, here or in a child, first kills every child with SIGKILL
+    rather than wait for its stride.  Every child is reaped before this
+    returns or raises.  With w = 1, or where the platform cannot fork,
+    func(items) runs in this process.
+
+    Each process runs on a CPU of its own: where this process's affinity
+    mask holds w CPUs or more, it runs stride 0 on the lowest and child i
+    runs on the i-th after it, and this process gets its mask back before
+    it returns or raises.  Left to the scheduler, a forked child often
+    shared the parent's CPU and two strides took twice as long as one.
+    Where the platform has no affinity call or refuses it, every process
+    runs unpinned."""
     w = max(1, min(workers, len(items), usable_cpus()))
     if w == 1 or not hasattr(os, "fork"):
         return func(items)
-    import pickle  # only parallel runs pay for the import
+    import pickle  # only parallel runs pay for the imports
+    import signal
 
+    mask = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else set()
+    cpus = sorted(mask)
+    pinned = len(cpus) >= w and _pin(cpus[0])
     pids: list[int] = []
     pipes: list[int] = []  # read ends not yet read, in stride order
     try:
@@ -47,6 +71,8 @@ def fork_map(func, items, workers: int) -> list:
                 try:
                     for fd in pipes:
                         os.close(fd)
+                    if pinned:
+                        _pin(cpus[i])
                     try:
                         out = (True, func(items[i::w]))
                     except BaseException as exc:  # the parent raises it
@@ -68,10 +94,17 @@ def fork_map(func, items, workers: int) -> list:
             if not ok:
                 raise value
             parts.append(value)
+    except BaseException:
+        # the answer is lost, so no stride still running is worth waiting for;
+        # every pid is an unreaped child, so none can name another process
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
     finally:
-        # a child blocked on a full pipe gets EPIPE once its read end closes
         for fd in pipes:
             os.close(fd)
         for pid in pids:
             os.waitpid(pid, 0)
+        if pinned:
+            os.sched_setaffinity(0, mask)
     return [x for part in parts for x in part]

@@ -226,7 +226,13 @@ def _rad_table(limit: int) -> array:
             f"a scan up to {limit} needs about {12 * limit // 10**6} MB of radical tables; "
             f"the cap is {MAX_SIEVE_LIMIT}"
         )
-    rad = array("q", range(limit + 1))
+    # the exact size up front, filled from lists of 4096 entries:
+    # array("q", range(...)) appends item by item and over-allocates, and
+    # one list of every entry would add about 36 bytes an entry to the peak
+    rad = array("q", [0]) * (limit + 1)
+    for lo in range(0, limit + 1, 4096):
+        hi = min(lo + 4096, limit + 1)
+        rad[lo:hi] = array("q", list(range(lo, hi)))
     rad[0] = 1
     for p in primes_up_to(isqrt(limit)):
         q = p * p

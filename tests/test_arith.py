@@ -1,4 +1,5 @@
 import math
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -132,6 +133,14 @@ class TestRadTable:
         expected = spf_radicals(300)
         for n in range(301):
             assert list(_rad_table(n)) == expected[: n + 1]
+
+    def test_matches_spf_oracle_across_the_fill_chunks(self):
+        # the table is filled 4096 entries at a time
+        expected = array("q", spf_radicals(8193))
+        for n in [*range(5001), 8191, 8192, 8193]:
+            table = _rad_table(n)
+            assert len(table) == n + 1
+            assert table == expected[: n + 1], n
 
     def test_matches_spf_oracle_at_1e5(self):
         assert list(_rad_table(10**5)) == spf_radicals(10**5)

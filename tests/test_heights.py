@@ -318,6 +318,13 @@ class TestAbcScan:
         else:
             assert dealt == [list(range(2, 301))]
 
+    def test_the_dealt_c_are_the_c_with_a_square_factor(self):
+        rad = arith._rad_table(2000)
+        want = [c for c in range(3, 2001) if rad[c] < c]
+        for limit in range(2, 2001):
+            got = [2, *heights._non_squarefree(limit)]
+            assert got == [2] + [c for c in want if c <= limit], limit
+
     def test_radical_products_do_not_overflow(self):
         # radical products here pass 2^63; as int64 they wrapped negative
         # and reached math.log
@@ -366,6 +373,21 @@ class ClassOne:
         return self.index.count_upto(s)
 
 
+def triples_by_definition(index, cs, log_bound):
+    """_pruned_triples read from its definition, with no index and no
+    shortcut: every a <= c / 2 prime to c with rad(a) rad(c - a) <= T."""
+    rad = index.rad
+    for c in cs:
+        t = int(math.exp(log_bound(c)) * (1 + 1e-9) + 2) // rad[c]
+        candidates = [
+            (a, rad[a] * rad[c - a] * rad[c])
+            for a in range(1, c // 2 + 1)
+            if math.gcd(a, c) == 1 and rad[a] * rad[c - a] <= t
+        ]
+        if candidates:
+            yield c, candidates
+
+
 class TestWheelIndex:
     def assert_classes(self, index):
         rad, one = index.rad, index.order[1]
@@ -376,7 +398,7 @@ class TestWheelIndex:
             keys = list(index.keys[k])
             assert keys == [index.rad[n] for n in order] == sorted(keys)
 
-    @pytest.mark.parametrize("limit", [1, 2, 7, 100, 2000])
+    @pytest.mark.parametrize("limit", [1, 2, 7, 100, 2000, 30000])
     def test_every_class_is_the_class_one_order_prime_to_k(self, limit):
         index = heights._RadicalIndex(limit)
         assert index.cap == math.isqrt(limit)
@@ -429,6 +451,61 @@ class TestWheelIndex:
         wheel = self.recorded(monkeypatch, lambda: scan(max_c), False)
         assert wheel
         assert wheel == self.recorded(monkeypatch, lambda: scan(max_c), True)
+
+    def test_radical_ranges_are_built_without_a_pass_over_the_table(self):
+        # every n <= limit with lo < rad n <= hi, for every range in the table
+        for limit in range(60):
+            rad = arith._rad_table(limit)
+            for hi in range(limit + 1):
+                for lo in range(hi + 1):
+                    want = [n for n in range(1, limit + 1) if lo < rad[n] <= hi]
+                    assert heights._radicals_between(limit, lo, hi) == want, (limit, lo, hi)
+
+    @pytest.mark.parametrize("t", range(1, 10))
+    def test_each_small_bound_matches_the_definition(self, t):
+        # B(c) set so that every c in the window gets this T: at T = 6 the
+        # first pairs with a >= 2 qualify, (2, 3, 5) among them
+        index = heights._RadicalIndex(400)
+        rad = index.rad
+
+        def log_bound(c):
+            return math.log(t * rad[c] - 1.5)
+
+        cs = range(2, 401)
+        got = list(heights._pruned_triples(index, cs, log_bound))
+        assert got == list(triples_by_definition(index, cs, log_bound))
+        assert any(a > 1 for _, candidates in got for a, _ in candidates) == (t >= 6)
+
+    @pytest.mark.parametrize(
+        "scan",
+        [
+            *(pytest.param(lambda q=q: heights._abc_rows(1000, q, 1), id=f"abc-{q}") for q in (1, Fraction(6, 5), 2)),
+            *(pytest.param(lambda e=e: scan_vojta_gap(e, 1000), id=f"vojta-{e}") for e in (0.05, 0.2, 0.9)),
+        ],
+    )
+    def test_small_bounds_match_the_definition(self, monkeypatch, scan):
+        # windows from c = 2 whose T runs through 0..5, where only a = 1 can
+        # qualify and the index is not read, and past 6, where it is
+        seen: dict[str, list] = {}
+        ts = set()
+        for name, triples in (("pruned", heights._pruned_triples), ("definition", triples_by_definition)):
+
+            def recording(index, cs, log_bound, triples=triples, out=seen.setdefault(name, [])):
+                def bound(c):
+                    ts.add(int(math.exp(log_bound(c)) * (1 + 1e-9) + 2) // index.rad[c])
+                    return log_bound(c)
+
+                for c, candidates in triples(index, cs, bound):
+                    out.append((c, candidates))
+                    yield c, candidates
+
+            with monkeypatch.context() as m:
+                m.setattr(heights, "_pruned_triples", recording)
+                scan()
+        # the abc scans start at c = 2, the Vojta scan at 3
+        assert seen["pruned"] and seen["pruned"][0][0] in (2, 3)
+        assert seen["pruned"] == seen["definition"]
+        assert {2, 3, 4, 5} <= ts and max(ts) >= 6
 
 
 class TestQualityThresholds:

@@ -1,10 +1,13 @@
 """The fork map: its process count is clamped to the usable CPUs, no worker
 count changes an answer, and a failing stride -- in a child or in this
 process -- fails the call instead of hanging it, with no child left behind.
-The items are small, so the real forks counted here are cheap."""
+Each process runs on a CPU of its own where the caller's mask allows it,
+and the caller's mask is the same afterwards.  The items are small, so the
+real forks counted here are cheap."""
 
 import os
 import signal
+import time
 from fractions import Fraction
 
 import pytest
@@ -192,3 +195,73 @@ class TestFailures:
         assert cli.main(argv) == code
         assert capsys.readouterr().out == ""
         assert_no_children()
+
+    def test_a_failing_call_kills_the_children_still_running(self):
+        # a child that sleeps 30 s is killed, not waited for, once the
+        # parent's own stride raises
+        parent = os.getpid()
+
+        def stride(part):
+            if os.getpid() != parent:
+                time.sleep(30)
+            raise ValueError("stride 0 fails")
+
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="stride 0 fails"):
+            _pool.fork_map(stride, [0, 1], 2)
+        assert time.monotonic() - start < 2
+        assert_no_children()
+
+
+def cpus_of_each_stride(part):
+    return [tuple(sorted(os.sched_getaffinity(0)))]
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="placement needs two usable CPUs",
+)
+class TestPlacement:
+    @pytest.fixture(autouse=True)
+    def limits(self, deadline):
+        self.mask = os.sched_getaffinity(0)
+        self.w = min(len(self.mask), 4)
+        yield
+        assert_no_children()
+
+    def test_each_stride_runs_on_a_cpu_of_its_own(self):
+        placed = _pool.fork_map(cpus_of_each_stride, list(range(self.w)), self.w)
+        assert len(placed) == self.w
+        assert all(len(cpus) == 1 for cpus in placed)
+        assert len(set(placed)) == self.w
+        assert {cpu for (cpu,) in placed} <= self.mask
+        assert os.sched_getaffinity(0) == self.mask
+
+    @pytest.mark.parametrize("side", ["parent", "child"])
+    def test_the_callers_mask_comes_back_after_a_failing_stride(self, side):
+        parent = os.getpid()
+
+        def stride(part):
+            if (os.getpid() == parent) == (side == "parent"):
+                raise ValueError(f"the {side} stride fails")
+            return list(part)
+
+        with pytest.raises(ValueError, match=f"the {side} stride fails"):
+            _pool.fork_map(stride, list(range(self.w)), self.w)
+        assert os.sched_getaffinity(0) == self.mask
+
+    @pytest.mark.parametrize("refusal", ["missing", "oserror"])
+    def test_a_refused_placement_runs_unpinned_with_the_same_rows(self, monkeypatch, refusal):
+        pinned = heights._abc_rows(3000, Fraction(1), 2)
+        with monkeypatch.context() as m:
+            if refusal == "missing":
+                m.delattr(os, "sched_setaffinity")
+            else:
+
+                def refuse(pid, cpus):
+                    raise OSError("affinity refused")
+
+                m.setattr(os, "sched_setaffinity", refuse)
+            assert heights._abc_rows(3000, Fraction(1), 2) == pinned
+            placed = _pool.fork_map(cpus_of_each_stride, list(range(self.w)), self.w)
+        assert placed == [tuple(sorted(self.mask))] * self.w
