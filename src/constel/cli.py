@@ -5,9 +5,16 @@ minimal-profiles.  Output is TSV (with a single `#` header line) or JSONL;
 rationals print as p/q, floats with nine decimals, and repeated runs --
 including runs with different worker counts -- produce identical bytes.
 
-Exit codes: 0 success, 1 internal error, 2 parse/config error or
-unreadable file, 3 violated mathematical precondition, 4 run refused by a
-resource cap.
+Every command has one shape: its _cmd_* function parses and checks its
+input, builds what it needs and returns (blocks, exit code), where blocks
+is an iterable of line lists that main writes as they come.  So every
+refusal comes before the first byte of stdout.  enumerate, with one
+worker and c as the outer role of its scan, makes its blocks as they are
+read; the other commands return one block.
+
+Exit codes: 0 success, 1 internal error (one in mid-stream leaves the
+lines already written), 2 parse/config error or unreadable file, 3
+violated mathematical precondition, 4 run refused by a resource cap.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from itertools import chain
 
 # only arith and errors load with the CLI: each command imports the module it
 # runs, so a run loads no layer it does not use
@@ -68,24 +76,30 @@ def _cmd_classify(args):
         rows.append((curves.profile_text(profile), cls.degree, cls.kappa.value, prediction.value))
     # every cell is text or a Fraction, so a JSON string that needs no escape
     if args.format == "jsonl":
-        return ['{"profile":"%s","degree":"%s","kappa":"%s","prediction":"%s"}' % r for r in rows], 0
-    return ["# profile\tdegree\tkappa\tprediction", *("%s\t%s\t%s\t%s" % r for r in rows)], 0
+        return [['{"profile":"%s","degree":"%s","kappa":"%s","prediction":"%s"}' % r for r in rows]], 0
+    return [["# profile\tdegree\tkappa\tprediction", *("%s\t%s\t%s\t%s" % r for r in rows)]], 0
 
 
 def _cmd_enumerate(args):
     from . import softpoints
 
     delta = _parse_delta(args.delta)
-    rows = softpoints._soft_rows(delta, args.max, args.positive, args.workers)
-    # one f-string a row, for the columns a, c, b, soft, M, rad
+    blocks = softpoints._soft_rows(delta, args.max, args.positive, args.workers)
+    # one f-string a row, for the columns a, c, b, soft, M, rad; each block
+    # of rows becomes its lines only when main reaches it
     if args.format == "jsonl":
-        return [
-            f'{{"a":{a},"c":{c},"b":{c - a},"soft":true,"M":{max(abs(a), abs(c - a), c)},"rad":{rad}}}'
-            for c, a, rad in rows
-        ], 0
-    lines = [f"{a}\t{c}\t{c - a}\ttrue\t{max(abs(a), abs(c - a), c)}\t{rad}" for c, a, rad in rows]
-    lines.insert(0, "# a\tc\tb\tsoft\tM\trad")
-    return lines, 0
+        return (
+            [
+                f'{{"a":{a},"c":{c},"b":{c - a},"soft":true,"M":{max(abs(a), abs(c - a), c)},"rad":{rad}}}'
+                for c, a, rad in rows
+            ]
+            for rows in blocks
+        ), 0
+    lines = (
+        [f"{a}\t{c}\t{c - a}\ttrue\t{max(abs(a), abs(c - a), c)}\t{rad}" for c, a, rad in rows]
+        for rows in blocks
+    )
+    return chain([["# a\tc\tb\tsoft\tM\trad"]], lines), 0
 
 
 def _cmd_firmament(args):
@@ -117,7 +131,7 @@ def _cmd_firmament(args):
             failed = True
         else:
             lines.append(row % (label, m, 1 - Fraction(1, m)))
-    return lines, (3 if failed else 0)
+    return [lines], (3 if failed else 0)
 
 
 def _cmd_abc_scan(args):
@@ -132,12 +146,11 @@ def _cmd_abc_scan(args):
     # row tuple beats unpacking it into an f-string
     if args.format == "jsonl":
         return [
-            f'{{"a":{a},"b":{b},"c":{c},"rad":{rad},"quality":{round(q, 9)!r}}}'
-            for a, b, c, rad, q in rows
+            [f'{{"a":{a},"b":{b},"c":{c},"rad":{rad},"quality":{round(q, 9)!r}}}' for a, b, c, rad, q in rows]
         ], 0
     lines = ["%d\t%d\t%d\t%d\t%.9f" % r for r in rows]
     lines.insert(0, "# a\tb\tc\trad\tquality")
-    return lines, 0
+    return [lines], 0
 
 
 def _cmd_vojta_gap(args):
@@ -145,8 +158,8 @@ def _cmd_vojta_gap(args):
 
     events = heights.scan_vojta_gap(args.eps_prime, args.max_c)
     if args.format == "jsonl":
-        return [f'{{"a":{e.a},"b":{e.b},"c":{e.c},"gap":{round(e.gap, 9)!r}}}' for e in events], 0
-    return ["# a\tb\tc\tgap", *(f"{e.a}\t{e.b}\t{e.c}\t{e.gap:.9f}" for e in events)], 0
+        return [[f'{{"a":{e.a},"b":{e.b},"c":{e.c},"gap":{round(e.gap, 9)!r}}}' for e in events]], 0
+    return [["# a\tb\tc\tgap", *(f"{e.a}\t{e.b}\t{e.c}\t{e.gap:.9f}" for e in events)]], 0
 
 
 def _cmd_minimal_profiles(args):
@@ -158,8 +171,8 @@ def _cmd_minimal_profiles(args):
         profile = curves.MultiplicityProfile.of(0, mults)
         rows.append((",".join(map(str, mults)), curves.constellation_degree(profile)))
     if args.format == "jsonl":
-        return ['{"multiplicities":"%s","degree":"%s"}' % r for r in rows], 0
-    return ["# multiplicities\tdegree", *("%s\t%s" % r for r in rows)], 0
+        return [['{"multiplicities":"%s","degree":"%s"}' % r for r in rows]], 0
+    return [["# multiplicities\tdegree", *("%s\t%s" % r for r in rows)]], 0
 
 
 _COMMANDS = {
@@ -274,9 +287,14 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else 2
-        lines, code = args.func(args)
-        if lines:
-            sys.stdout.write("\n".join(lines) + "\n")
+        # every refusal is raised by now: the command has checked its input
+        # and built its tables, and only its blocks of lines are left
+        blocks, code = args.func(args)
+        write = sys.stdout.write
+        for lines in blocks:
+            if lines:
+                write("\n".join(lines))
+                write("\n")
         return code
     except (ParseError, MathDomainError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -39,6 +39,13 @@ from .errors import MathDomainError, PointOnBoundaryError, ResourceLimitError, U
 # exact test raises c to the power q and rad(abc) to the power p
 MAX_THRESHOLD_TERM = 10**5
 
+# largest count of candidates (see _count_candidates) that an abc scan
+# below quality 1 may visit.  Below 1 many candidates become rows, which
+# the scan collects for its sort: at 1/3, --max-c 2000 and 3500 peaked at
+# about 120 and 110 bytes a candidate (196 MB for 1.6e6, 551 MB for 5.1e6,
+# CPython 3.11 on x86-64), so the cap keeps such a run under about 3 GB
+MAX_ABC_CANDIDATES = 25 * 10**6
+
 
 @dataclass(frozen=True)
 class Form:
@@ -425,6 +432,21 @@ def _non_squarefree(limit: int):
     return compress(range(limit + 1), mask)
 
 
+def _count_candidates(index: _RadicalIndex, cs, log_bound, cap: int) -> int:
+    """The number of x that _pruned_triples reads from the index for the c
+    in cs, which bounds their rows, counted up to the first c that takes
+    it past cap.  T is sized by the scan's own floats, so the count is
+    exact, except that a c with T < 6 counts its prefix, though the scan
+    tests a = 1 alone."""
+    rad, total = index.rad, 0
+    for c in cs:
+        t = int(math.exp(log_bound(c)) * (1 + 1e-9) + 2) // rad[c]
+        total += index.count_upto(min(isqrt(t), c - 1), gcd(c, WHEEL))
+        if total > cap:
+            break
+    return total
+
+
 def _abc_rows(max_c: int, min_quality: Fraction, workers: int) -> list[tuple]:
     """scan_abc's hits as (a, b, c, rad, quality) rows, the printed columns.
 
@@ -451,6 +473,16 @@ def _abc_rows(max_c: int, min_quality: Fraction, workers: int) -> list[tuple]:
         # B(c) < 2c for squarefree c >= 3, where rad c = c, so T = 1 and
         # _pruned_triples would skip it: deal out c = 2 and the c with rad c < c
         cs = array("q", chain([2], _non_squarefree(max_c)))
+    else:
+        # only below 1 do the rows grow with the candidates; at 1 and above
+        # they are sparse, and the count would cost much of the scan
+        exponent = 1.0 / float(min_quality)
+        count = _count_candidates(index, cs, lambda c: exponent * math.log(c), MAX_ABC_CANDIDATES)
+        if count > MAX_ABC_CANDIDATES:
+            raise ResourceLimitError(
+                f"abc-scan up to {max_c} at quality {min_quality} would visit more than "
+                f"{MAX_ABC_CANDIDATES} candidates, each of which may be a row"
+            )
     # the workers inherit the index through the fork
     rows = fork_map(partial(_scan_abc_chunk, index, min_quality), cs, workers)
     rows.sort(key=lambda r: (-r[4], r[2], r[0]))

@@ -227,8 +227,15 @@ def _wheel_hits(X, lookup):
 # (a, b, c), then the pairs visited per outer and inner value.
 _ORDERS = ((2, 0, 1, 2), (2, 1, 0, 2), (0, 1, 2, 4))
 
+# a streamed block of rows ends with the outer value that brings it to at
+# least this many rows: about 0.5 MB of rows and as much again of lines
+BLOCK_ROWS = 4096
 
-def _pair_rows(roles, X, lookup, rads, positive_only, outs):
+
+def _pair_rows(roles, hits, rads, positive_only, outs, size):
+    """The rows of the outer values outs, in sorted blocks: a block ends
+    with the outer value that brings it to `size` rows or more, and the
+    rest form the last block, which may be empty."""
     # for an outer value o and an inner value x the looked-up value is
     # y = o - s x, s = 1 for |o - x| and s = -1 for o + x.  With c outer, a
     # is s x (a inner) or y (b inner), and --positive keeps s = 1 with x < o.
@@ -237,7 +244,6 @@ def _pair_rows(roles, X, lookup, rads, positive_only, outs):
     # needs no bound test.  A factor of o and x divides all three values.
     rad_o, rad_x, rad_y = (rads[r] for r in roles)
     by_c, a_is_x = roles[0] == 2, roles[1] == 0
-    hits = _wheel_hits(X, lookup)
     out = []
     for o in outs:
         h = hits[gcd(o, WHEEL)]
@@ -255,11 +261,24 @@ def _pair_rows(roles, X, lookup, rads, positive_only, outs):
                         out.append((o, s * x if a_is_x else y, rad))
                     else:
                         out.append((y, o, rad) if y > 0 else (-y, -o, rad))
-    return out
+        if len(out) >= size:
+            out.sort()
+            yield out
+            out = []
+    out.sort()
+    yield out
 
 
 def _soft_rows(delta: DeltaSupport3, bound: int, positive_only: bool, workers: int):
-    """(c, a, rad |abc|) for each point of enumerate_soft_points, sorted.
+    """(c, a, rad |abc|) for each point of enumerate_soft_points, in sorted
+    blocks whose concatenation is sorted.
+
+    Every check and table build runs in this call; the rows come as the
+    blocks are read.  With c as the outer role and one worker, a block
+    ends with the c value that brings it to BLOCK_ROWS rows or more, so
+    memory does not grow with the output.  The (a, b) order's rows are not
+    in c order, and the workers' strides interleave, so those runs collect
+    every row, sort once and give one block.
 
     Of the three roles -- a with |a| <= bound, b = c - a with |b| <=
     2 bound, c <= bound -- the scan runs over the two whose pairs are
@@ -290,11 +309,15 @@ def _soft_rows(delta: DeltaSupport3, bound: int, positive_only: bool, workers: i
     # x - o and o + x run from -max o to max o + max X
     off = outs[-1]
     span = 2 * off + X[-1] + 1
-    lookup = (in_y, _hit_table(Y, off, span) if span <= cap else None, off)
-    # the workers inherit the tables through the fork
-    rows = fork_map(partial(_pair_rows, order, X, lookup, rads, positive_only), outs, workers)
+    hits = _wheel_hits(X, (in_y, _hit_table(Y, off, span) if span <= cap else None, off))
+    scan = partial(_pair_rows, order, hits, rads, positive_only)
+    if order[0] == 2 and workers <= 1:
+        return scan(outs, BLOCK_ROWS)
+    # the workers inherit the tables through the fork; each sorts its own
+    # stride, so the sort here merges sorted runs
+    rows = fork_map(lambda part: next(scan(part, math.inf)), outs, workers)
     rows.sort()
-    return rows
+    return [rows]
 
 
 def enumerate_soft_points(
@@ -320,7 +343,8 @@ def enumerate_soft_points(
     per-pair work; a gcd test drops the rest.  Worker processes split the
     outer role of that pair; no worker count changes the result.
     """
-    return [P1PointQ(a, c) for c, a, _ in _soft_rows(delta, bound, positive_only, workers)]
+    blocks = _soft_rows(delta, bound, positive_only, workers)
+    return [P1PointQ(a, c) for rows in blocks for c, a, _ in rows]
 
 
 @dataclass(frozen=True)

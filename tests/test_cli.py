@@ -5,12 +5,13 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from constel import arith, cli, heights, monoids
+from constel import arith, cli, heights, monoids, softpoints
 from constel.cli import main
 
 import _oracles
@@ -543,6 +544,80 @@ print(" ".join(sorted(n for n in added if n not in sys.stdlib_module_names and n
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == []
+
+
+ENUMERATE_GOLDENS = [
+    ("enumerate_222_100_positive.tsv", ["enumerate", "--delta", "2,2,2", "--max", "100", "--positive"]),
+    (
+        "enumerate_222_100_positive.jsonl",
+        ["enumerate", "--delta", "2,2,2", "--max", "100", "--positive", "--format", "jsonl"],
+    ),
+]
+
+
+class TestStreamedBlocks:
+    """enumerate writes its rows block by block; no block size and no
+    worker count changes a byte."""
+
+    @pytest.mark.parametrize("workers", ["1", "2", "3"])
+    @pytest.mark.parametrize("block_rows", [1, 10**9])
+    def test_goldens_at_every_block_size(self, capsys, monkeypatch, block_rows, workers):
+        monkeypatch.setattr(softpoints, "BLOCK_ROWS", block_rows)
+        for name, argv in ENUMERATE_GOLDENS:
+            check_golden(capsys, name, *argv, "--workers", workers)
+
+    @pytest.mark.parametrize("entry", softpoints._ORDERS, ids=lambda e: ",".join("abc"[r] for r in e[:2]))
+    def test_each_order_alone_at_every_block_size(self, capsys, monkeypatch, entry):
+        for delta, bound in (("2,2,2", "3000"), ("1,3,1", "150"), ("3,1,1", "150"), ("2,2,1", "150"), ("1,1,1", "40")):
+            for extra in ([], ["--positive"], ["--format", "jsonl"]):
+                argv = ["enumerate", "--delta", delta, "--max", bound, *extra]
+                with monkeypatch.context() as m:
+                    want = run(capsys, *argv)
+                    assert want[0] == 0 and want[1].count("\n") > 2, argv
+                    m.setattr(softpoints, "_ORDERS", (entry,))
+                    for block_rows in (1, 10**9):
+                        m.setattr(softpoints, "BLOCK_ROWS", block_rows)
+                        for workers in ("1", "2", "3"):
+                            assert run(capsys, *argv, "--workers", workers) == want, (argv, block_rows, workers)
+
+    def test_output_memory_does_not_follow_the_row_count(self, monkeypatch):
+        class Sink:
+            def write(self, text):
+                return len(text)
+
+        # 109 590 rows; written whole, they and their lines peaked at 21.5 MB
+        monkeypatch.setattr(sys, "stdout", Sink())
+        argv = ["enumerate", "--delta", "1,1,1", "--max", "300"]
+        assert main(argv) == 0  # loads the modules outside the traced run
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["enumerate", "--delta", "2,x,2", "--max", "100"], 2),
+            (["enumerate", "--delta", "2,2,2", "--max", "1e3"], 2),
+            (["enumerate", "--delta", "2,2,2", "--max", "100", "--format", "csv"], 2),
+            (["enumerate", "--delta", "2,2,2", "--max", "1"], 3),
+            (["enumerate", "--delta", "1,1,1", "--max", "-5", "--workers", "2"], 3),
+            (["abc-scan", "--max-c", "100", "--min-quality", "q"], 2),
+            (["abc-scan", "--max-c", "1"], 3),
+            (["abc-scan", "--max-c", "100", "--min-quality", "-1"], 3),
+            (["abc-scan", "--max-c", str(heights.MAX_SIEVE_LIMIT + 1)], 4),
+            (["abc-scan", "--max-c", "30", "--min-quality", "1.4142135623730951"], 4),
+            (["abc-scan", "--max-c", "10000", "--min-quality", "1/3"], 4),
+            (["abc-scan", "--max-c", "1000000", "--min-quality", "1/2", "--workers", "2"], 4),
+        ],
+    )
+    def test_refusals_write_nothing_to_stdout(self, capsys, argv, code):
+        start = time.perf_counter()
+        assert run(capsys, *argv) == (code, "")
+        assert time.perf_counter() - start < 5
 
 
 class TestDeterminism:

@@ -527,6 +527,60 @@ class TestQualityThresholds:
                 scan_abc(30, q)
 
 
+class TestCandidateCap:
+    @pytest.mark.parametrize("q", [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(9, 10)])
+    def test_the_count_is_the_prefixes_read_and_bounds_the_rows(self, q):
+        # by definition: for each c, the n of the limit prime to gcd(c, 6)
+        # whose radical is at most min(isqrt(T), c - 1)
+        limit = 600
+        index = heights._RadicalIndex(limit)
+        rad = index.rad
+
+        def log_bound(c):
+            return math.log(c) / float(q)
+
+        running = []
+        for c in range(2, limit + 1):
+            t = int(math.exp(log_bound(c)) * (1 + 1e-9) + 2) // rad[c]
+            s = min(math.isqrt(t), c - 1)
+            got = sum(1 for n in range(1, limit + 1) if math.gcd(n, c, 6) == 1 and rad[n] <= s)
+            running.append((running[-1] if running else 0) + got)
+        total = running[-1]
+        cs = range(2, limit + 1)
+        assert heights._count_candidates(heights._RadicalIndex(limit), cs, log_bound, total) == total
+        assert len(heights._abc_rows(limit, q, 1)) <= total
+        # past the cap the count stops at the first c that crosses it
+        for cap in (0, total // 3, running[len(running) // 2], total - 1):
+            first_over = next(n for n in running if n > cap)
+            assert heights._count_candidates(heights._RadicalIndex(limit), cs, log_bound, cap) == first_over
+
+    def test_dense_scans_are_refused_before_a_row(self, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("the scan ran")
+
+        monkeypatch.setattr(heights, "_scan_abc_chunk", no_scan)
+        for max_c, q in ((10_000, Fraction(1, 3)), (1_000_000, Fraction(1, 2))):
+            with pytest.raises(ResourceLimitError, match="candidates"):
+                heights._abc_rows(max_c, q, 1)
+
+    def test_only_thresholds_below_one_are_counted(self, monkeypatch):
+        counted = []
+        count = heights._count_candidates
+        monkeypatch.setattr(heights, "_count_candidates", lambda *a: counted.append(a[3]) or count(*a))
+        for q in (Fraction(1), Fraction(6, 5), Fraction(2)):
+            heights._abc_rows(3000, q, 1)
+        assert counted == []
+        # a count at the cap runs, one past it is refused
+        third = Fraction(1, 3)
+        total = count(heights._RadicalIndex(400), range(2, 401), lambda c: 3 * math.log(c), 10**9)
+        monkeypatch.setattr(heights, "MAX_ABC_CANDIDATES", total)
+        assert len(heights._abc_rows(400, third, 1)) == len(scan_abc(400, third))
+        monkeypatch.setattr(heights, "MAX_ABC_CANDIDATES", total - 1)
+        with pytest.raises(ResourceLimitError):
+            heights._abc_rows(400, third, 1)
+        assert counted == [total, total, total - 1]
+
+
 @pytest.mark.parametrize(
     "scan",
     [

@@ -34,6 +34,11 @@ def small_bound(ms):
     return 25 if ms.count(1) >= 2 else 90
 
 
+def soft_rows(*args):
+    """The rows of softpoints._soft_rows, its blocks joined."""
+    return [row for block in softpoints._soft_rows(*args) for row in block]
+
+
 def order_label(roles):
     """The outer and inner role of a _pair_rows call, as "c,a", "c,b" or "a,b"."""
     return ",".join("abc"[r] for r in roles[:2])
@@ -236,11 +241,11 @@ class TestSoftRows:
     @pytest.mark.parametrize("ms", ALL_DELTAS, ids=lambda ms: ",".join(map(str, ms)))
     def test_matches_brute_oracle_with_radicals(self, ms):
         bound = small_bound(ms)
-        rows = softpoints._soft_rows(DeltaSupport3(*ms), bound, False, 1)
+        rows = soft_rows(DeltaSupport3(*ms), bound, False, 1)
         assert [(a, c) for c, a, _ in rows] == _oracles.brute_soft_points(*ms, bound)
         for c, a, rad in rows:
             assert rad == _oracles.sympy_radical(abs(a * (c - a) * c))
-        positive = softpoints._soft_rows(DeltaSupport3(*ms), bound, True, 1)
+        positive = soft_rows(DeltaSupport3(*ms), bound, True, 1)
         assert positive == [row for row in rows if 0 < row[1] < row[0]]
 
     def test_every_order_and_radical_source_runs(self, monkeypatch):
@@ -258,7 +263,7 @@ class TestSoftRows:
         for name in ("radical", "_rad_table"):
             monkeypatch.setattr(softpoints, name, spy(name, getattr(softpoints, name)))
         for ms in ALL_DELTAS:
-            softpoints._soft_rows(DeltaSupport3(*ms), small_bound(ms), False, 1)
+            soft_rows(DeltaSupport3(*ms), small_bound(ms), False, 1)
         # radical is the fallback for a sieve longer than the pairs visited
         assert seen == {"c,a", "c,b", "a,b", "radical", "_rad_table"}
 
@@ -268,11 +273,11 @@ class TestSoftRows:
         monkeypatch.setattr(softpoints, "_ORDERS", (entry,))
         for ms in ALL_DELTAS:
             bound = small_bound(ms)
-            rows = softpoints._soft_rows(DeltaSupport3(*ms), bound, False, 1)
+            rows = soft_rows(DeltaSupport3(*ms), bound, False, 1)
             assert [(a, c) for c, a, _ in rows] == _oracles.brute_soft_points(*ms, bound), ms
             for c, a, rad in rows:
                 assert rad == _oracles.sympy_radical(abs(a * (c - a) * c)), (ms, a, c)
-            positive = softpoints._soft_rows(DeltaSupport3(*ms), bound, True, 1)
+            positive = soft_rows(DeltaSupport3(*ms), bound, True, 1)
             assert positive == [row for row in rows if 0 < row[1] < row[0]], ms
 
     def test_larger_bound_per_order(self):
@@ -293,14 +298,14 @@ class TestSoftRows:
         seen = []
         pair_rows = softpoints._pair_rows
         monkeypatch.setattr(softpoints, "_pair_rows", lambda *a: seen.append(order_label(a[0])) or pair_rows(*a))
-        rows = softpoints._soft_rows(delta, bound, False, 1)
+        rows = soft_rows(delta, bound, False, 1)
         assert seen == [order]
         assert [(a, c) for c, a, _ in rows] == _oracles.brute_soft_points(*ms, bound)
         positive = [row for row in rows if 0 < row[1] < row[0]]
-        assert softpoints._soft_rows(delta, bound, True, 1) == positive
+        assert soft_rows(delta, bound, True, 1) == positive
         for workers in (2, 3):
-            assert softpoints._soft_rows(delta, bound, False, workers) == rows
-            assert softpoints._soft_rows(delta, bound, True, workers) == positive
+            assert soft_rows(delta, bound, False, workers) == rows
+            assert soft_rows(delta, bound, True, workers) == positive
 
     def test_table_and_set_hits_agree(self):
         rng = random.Random(12)
@@ -364,7 +369,7 @@ class TestSoftRows:
         seen = []
         pair_rows = softpoints._pair_rows
         monkeypatch.setattr(softpoints, "_pair_rows", lambda *a: seen.append(order_label(a[0])) or pair_rows(*a))
-        rows = softpoints._soft_rows(delta, bound, False, 1)
+        rows = soft_rows(delta, bound, False, 1)
         assert set(seen) == {order}
         expected = _oracles.brute_soft_points(*ms, bound)
         assert [(a, c) for c, a, _ in rows] == expected
@@ -374,27 +379,60 @@ class TestSoftRows:
             assert rad == _oracles.sympy_radical(abs(a * (c - a) * c))
         positive = [row for row in rows if 0 < row[1] < row[0]]
         for workers in (1, 2, 3):
-            assert softpoints._soft_rows(delta, bound, True, workers) == positive
+            assert soft_rows(delta, bound, True, workers) == positive
             if workers > 1:
-                assert softpoints._soft_rows(delta, bound, False, workers) == rows
+                assert soft_rows(delta, bound, False, workers) == rows
 
     def test_hit_table_only_where_it_is_no_longer_than_the_pairs(self, monkeypatch):
         built = []
         hit_table = softpoints._hit_table
         monkeypatch.setattr(softpoints, "_hit_table", lambda *a: built.append(a[2]) or hit_table(*a))
         # the benchmark's shape: 4.0e6 pairs against a 1.5e6-byte table
-        rows = softpoints._soft_rows(D222, 500_000, False, 1)
+        rows = soft_rows(D222, 500_000, False, 1)
         assert len(rows) == 4200 and built == [1_500_001]
         # one c against 2e4 values of a: the table would take 1e8 bytes
         built.clear()
         tracemalloc.start()
         try:
-            rows = softpoints._soft_rows(DeltaSupport3(2, 2, INFINITY), 10**8, False, 1)
+            rows = soft_rows(DeltaSupport3(2, 2, INFINITY), 10**8, False, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert built == [] and peak < 10**7
         assert rows == [(1, a, _oracles.sympy_radical(abs(a * (1 - a)))) for _, a, _ in rows]
+
+class TestBlocks:
+    def test_a_block_ends_with_the_c_that_fills_it(self, monkeypatch):
+        monkeypatch.setattr(softpoints, "BLOCK_ROWS", 50)
+        for ms, bound in (((3, 1, 1), 400), ((1, 3, 1), 400), ((2, 2, 2), 3000)):
+            delta = DeltaSupport3(*ms)
+            blocks = list(softpoints._soft_rows(delta, bound, False, 1))
+            assert len(blocks) > 2, ms
+            # the workers' one block is sorted whole
+            assert [row for block in blocks for row in block] == soft_rows(delta, bound, False, 2), ms
+            for block in blocks[:-1]:
+                assert block == sorted(block), ms
+                before_its_last_c = [row for row in block if row[0] < block[-1][0]]
+                assert len(before_its_last_c) < 50 <= len(block), ms
+            # the last block holds the rest, which may be none
+            assert blocks[-1] == sorted(blocks[-1]) and len(blocks[-1]) < 50, ms
+
+    @pytest.mark.parametrize("ms, workers", [((2, 2, 1), 1), ((3, 1, 1), 2), ((2, 2, 2), 3)])
+    def test_the_a_b_order_and_workers_give_one_block(self, monkeypatch, ms, workers):
+        monkeypatch.setattr(softpoints, "BLOCK_ROWS", 1)
+        blocks = softpoints._soft_rows(DeltaSupport3(*ms), 600, False, workers)
+        assert len(blocks) == 1 and blocks[0] == soft_rows(DeltaSupport3(*ms), 600, False, 1)
+
+    def test_checks_and_tables_come_before_the_first_block(self, monkeypatch):
+        built = []
+        hit_table = softpoints._hit_table
+        monkeypatch.setattr(softpoints, "_hit_table", lambda *a: built.append(a[2]) or hit_table(*a))
+        with pytest.raises(MathDomainError):
+            softpoints._soft_rows(D222, 1, False, 1)
+        blocks = softpoints._soft_rows(D222, 5000, False, 1)
+        assert built == [15001]
+        assert next(blocks)
+
 
 class TestBoundCheck:
     def test_examples(self):
