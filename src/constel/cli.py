@@ -14,12 +14,14 @@ read; the other commands return one block.
 
 Exit codes: 0 success, 1 internal error (one in mid-stream leaves the
 lines already written), 2 parse/config error or unreadable file, 3
-violated mathematical precondition, 4 run refused by a resource cap.
+violated mathematical precondition, 4 run refused by a resource cap, 141
+stdout's reader closed the pipe before the last line.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 from itertools import chain
@@ -275,6 +277,17 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+def _reader_left() -> int:
+    """Exit status once stdout's reader has closed the pipe, as `head`
+    does: the reader's choice, not a fault.  fd 1 now points at /dev/null,
+    so the interpreter's final flush of what is still buffered raises
+    nothing, and the status is that of a filter killed by SIGPIPE."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+    return 141
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
@@ -293,8 +306,11 @@ def main(argv=None) -> int:
         write = sys.stdout.write
         for lines in blocks:
             if lines:
-                write("\n".join(lines))
-                write("\n")
+                try:
+                    write("\n".join(lines))
+                    write("\n")
+                except BrokenPipeError:
+                    return _reader_left()
         return code
     except (ParseError, MathDomainError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -231,6 +231,19 @@ class TestExitCodes:
         assert main(["abc-scan", "--max-c", "10"]) == 1
         assert "internal error: math domain error" in capsys.readouterr().err
 
+    def test_broken_pipe_while_making_rows_is_1(self, capsys, monkeypatch):
+        # only a broken pipe on stdout is the reader's doing; one raised while
+        # the rows are made is a fault like any other
+        def rows(*args):
+            yield [(3, 1, 6)]
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+        monkeypatch.setattr(softpoints, "_soft_rows", rows)
+        assert main(["enumerate", "--delta", "1,1,1", "--max", "3"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "# a\tc\tb\tsoft\tM\trad\n1\t3\t2\ttrue\t3\t6\n"
+        assert f"internal error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}" in err
+
     def test_unreadable_file_is_2(self, capsys, tmp_path):
         missing = str(tmp_path / "missing.txt")
         assert run(capsys, "classify", "--file", missing)[0] == 2
@@ -516,6 +529,22 @@ class TestEntryPoint:
         else:
             wanted = ["--config", *cli._COMMANDS]
         assert [name for name in wanted if name not in proc.stdout] == []
+
+    def test_closed_pipe_is_141_without_a_word(self):
+        # the reader leaves after the header, as `| head -1` does, while the
+        # 109 590 rows still to come overfill the pipe
+        src = str(Path(cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = [sys.executable, "-m", "constel", "enumerate", "--delta", "1,1,1", "--max", "300"]
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        try:
+            assert proc.stdout.readline() == b"# a\tc\tb\tsoft\tM\trad\n"
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 141
+            assert proc.stderr.read() == b""
+        finally:
+            proc.kill()
+            proc.stderr.close()
 
     def test_runtime_needs_only_the_standard_library(self):
         # the modules are compared with a record taken before the import,

@@ -1,6 +1,7 @@
 import dataclasses
 import enum
 import random
+import tracemalloc
 from itertools import product
 from fractions import Fraction
 
@@ -158,9 +159,11 @@ class TestReachTableCap:
 
 
 class TestReachTableSweep:
-    # the fill sweeps each generator in turn over the box: whatever the box
-    # shape and the generator order, it must give the oracle's cells
-    @pytest.mark.parametrize("bound", [(17,), (3, 40), (40, 3), (0, 7), (2, 9, 5), (5, 1, 6), (3, 2, 4, 3)])
+    # the closure takes each generator in turn over the box: whatever the
+    # box shape and the generator order, it must give the oracle's cells
+    @pytest.mark.parametrize(
+        "bound", [(17,), (3, 40), (40, 3), (0, 7), (2, 9, 5), (5, 1, 6), (3, 2, 4, 3), (0,), (0, 0, 0)]
+    )
     def test_matches_bfs_oracle(self, bound):
         rng = random.Random(repr(bound))
         d = len(bound)
@@ -176,6 +179,42 @@ class TestReachTableSweep:
             want = bytes(v in reach for v in product(*(range(b + 1) for b in bound)))
             for order in (gens, gens[::-1]):
                 assert monoids._ReachTable(bound, order).bits == want, (bound, order)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_random_boxes_match_bfs_oracle(self, d, monkeypatch):
+        # tiny pieces spread a table in many of them, the last one cut short
+        monkeypatch.setattr(monoids, "_PIECE", 3)
+        rng = random.Random(f"closure-{d}")
+        assert monoids._ReachTable((0,) * d, [(1,) * d]).bits == b"\x01"  # the one-cell box
+        side = (60, 14, 8)[d - 1]
+        for _ in range(80):
+            # axes of bound 0, and generators with zero coordinates or longer
+            # than an axis, come up often
+            bound = tuple(rng.choice((0, rng.randint(1, side), side)) for _ in range(d))
+            gens = []
+            while not gens:
+                for _ in range(rng.randint(1, 4)):
+                    g = tuple(rng.choice((0, rng.randint(1, 3), rng.randint(1, b + 2))) for b in bound)
+                    if any(g):
+                        gens.append(g)
+            reach = _oracles.bfs_reachable(gens, bound)
+            want = bytes(v in reach for v in product(*(range(b + 1) for b in bound)))
+            assert monoids._ReachTable(bound, gens).bits == want, (bound, gens)
+
+
+def test_reach_table_build_peak_stays_near_the_table():
+    # the closure's ints and the spread pieces come on top of the byte-a-cell
+    # table: at 4 * 10^6 cells they peaked at 1.5 times the table
+    gens = [(2, 3), (3, 2), (5, 7)]
+    monoids._ReachTable((9, 9), gens)
+    tracemalloc.start()
+    try:
+        table = monoids._ReachTable((1999, 1999), gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(table.bits) == 4 * 10**6
+    assert peak < 2.5 * len(table.bits)
 
 
 def _outcome(call):
